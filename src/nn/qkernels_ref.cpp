@@ -2,37 +2,26 @@
 
 #include "src/common/error.hpp"
 #include "src/common/math_util.hpp"
+#include "src/nn/skip_mask.hpp"
 
 namespace ataman {
 
-int32_t conv_accumulate_ref(const QConv2D& layer, std::span<const int8_t> in,
-                            int oy, int ox, int oc, const uint8_t* skip) {
-  const ConvGeom& g = layer.geom;
-  const int patch = g.patch_size();
-  const int8_t* w =
-      layer.weights.data() + static_cast<size_t>(oc) * patch;
-  const uint8_t* sk =
-      skip != nullptr ? skip + static_cast<size_t>(oc) * patch : nullptr;
+namespace {
 
-  int32_t acc = layer.bias[static_cast<size_t>(oc)];
-  int idx = 0;
-  for (int ky = 0; ky < g.kernel; ++ky) {
-    const int iy = oy * g.stride - g.pad + ky;
-    for (int kx = 0; kx < g.kernel; ++kx) {
-      const int ix = ox * g.stride - g.pad + kx;
-      const bool inside = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
-      for (int c = 0; c < g.in_c; ++c, ++idx) {
-        if (sk != nullptr && sk[idx]) continue;
-        // Padding taps read the zero-point, i.e. real value 0.
-        const int32_t x =
-            inside ? in[(static_cast<size_t>(iy) * g.in_w + ix) * g.in_c + c]
-                   : layer.in.zero_point;
-        acc += (x - layer.in.zero_point) * static_cast<int32_t>(w[idx]);
-      }
-    }
-  }
-  return acc;
+// The layer's weights, or with a mask a copy of them with every skipped
+// operand set to 0. A skipped product and a product with a zero weight
+// add the same nothing to the sum, so masked and exact runs share one
+// inner loop.
+template <typename Layer>
+const int8_t* skip_zeroed_weights(const Layer& layer, const uint8_t* skip,
+                                  std::vector<int8_t>& scratch) {
+  if (skip == nullptr) return layer.weights.data();
+  scratch = layer.weights;
+  zero_skipped_weights(layer, skip, scratch);
+  return scratch.data();
 }
+
+}  // namespace
 
 void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
                 std::span<int8_t> out, const uint8_t* skip) {
@@ -51,13 +40,44 @@ void conv2d_ref_cols(const QConv2D& layer, std::span<const int8_t> in,
         "conv output size mismatch");
   check(ox_begin >= 0 && ox_end <= g.out_w() && ox_begin <= ox_end,
         "conv column range out of bounds");
+  const int patch = g.patch_size();
+  const int32_t zp = layer.in.zero_point;
+  // The column holds x - zp in int16 and the dot product sums in int32:
+  // |x - zp| <= 255, |w| <= 128 and patch < 2^16 keep every partial sum
+  // below 2^31, so the result cannot depend on the summation order.
+  check(zp >= -128 && zp <= 127, "conv input zero point outside int8 range");
+  check(patch < (1 << 16), "conv patch too large for an int32 accumulator");
 
+  std::vector<int8_t> masked;
+  const int8_t* weights = skip_zeroed_weights(layer, skip, masked);
+  std::vector<int16_t> col(static_cast<size_t>(patch));
   const int oh = g.out_h(), ow = g.out_w();
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = ox_begin; ox < ox_end; ++ox) {
+      // Gather the zero-point-corrected patch once, in weight order
+      // [ky][kx][in_c]; padding taps read the zero point, i.e. real 0.
+      int16_t* c = col.data();
+      for (int ky = 0; ky < g.kernel; ++ky) {
+        const int iy = oy * g.stride - g.pad + ky;
+        for (int kx = 0; kx < g.kernel; ++kx, c += g.in_c) {
+          const int ix = ox * g.stride - g.pad + kx;
+          if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) {
+            std::fill_n(c, g.in_c, int16_t{0});
+            continue;
+          }
+          const int8_t* px =
+              in.data() + (static_cast<size_t>(iy) * g.in_w + ix) * g.in_c;
+          for (int ch = 0; ch < g.in_c; ++ch)
+            c[ch] = static_cast<int16_t>(px[ch] - zp);
+        }
+      }
       int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * g.out_c;
-      for (int oc = 0; oc < g.out_c; ++oc) {
-        const int32_t acc = conv_accumulate_ref(layer, in, oy, ox, oc, skip);
+      const int8_t* w = weights;
+      for (int oc = 0; oc < g.out_c; ++oc, w += patch) {
+        int32_t acc = 0;
+        for (int i = 0; i < patch; ++i)
+          acc += static_cast<int32_t>(col[static_cast<size_t>(i)]) * w[i];
+        acc += layer.bias[static_cast<size_t>(oc)];
         const int32_t scaled =
             multiply_by_quantized_multiplier(
                 acc, layer.requant[static_cast<size_t>(oc)]) +
@@ -67,36 +87,6 @@ void conv2d_ref_cols(const QConv2D& layer, std::span<const int8_t> in,
       }
     }
   }
-}
-
-int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
-                                 std::span<const int8_t> in, int oy, int ox,
-                                 int ch, const uint8_t* skip) {
-  const int patch = layer.patch_size();
-  const uint8_t* sk =
-      skip != nullptr ? skip + static_cast<size_t>(ch) * patch : nullptr;
-
-  int32_t acc = layer.bias[static_cast<size_t>(ch)];
-  int p = 0;
-  for (int ky = 0; ky < layer.kernel; ++ky) {
-    const int iy = oy * layer.stride - layer.pad + ky;
-    for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
-      if (sk != nullptr && sk[p]) continue;
-      const int ix = ox * layer.stride - layer.pad + kx;
-      const bool inside =
-          iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
-      // Padding taps read the zero-point, i.e. real value 0.
-      const int32_t x =
-          inside ? in[(static_cast<size_t>(iy) * layer.in_w + ix) *
-                          layer.channels +
-                      ch]
-                 : layer.in.zero_point;
-      acc += (x - layer.in.zero_point) *
-             static_cast<int32_t>(
-                 layer.weights[dw_weight_index(ch, p, layer.channels)]);
-    }
-  }
-  return acc;
 }
 
 void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
@@ -117,18 +107,41 @@ void depthwise_conv2d_ref_cols(const QDepthwiseConv2D& layer,
         "depthwise output size mismatch");
   check(ox_begin >= 0 && ox_end <= layer.out_w() && ox_begin <= ox_end,
         "depthwise column range out of bounds");
+  const int channels = layer.channels;
+  const int32_t zp = layer.in.zero_point;
 
+  std::vector<int8_t> masked;
+  const int8_t* weights = skip_zeroed_weights(layer, skip, masked);
+  std::vector<int32_t> acc(static_cast<size_t>(channels));
   const int oh = layer.out_h(), ow = layer.out_w();
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = ox_begin; ox < ox_end; ++ox) {
+      std::copy_n(layer.bias.begin(), channels, acc.begin());
+      // Tap by tap over contiguous channels. Padding taps read the zero
+      // point, i.e. real 0, and add nothing.
+      for (int ky = 0; ky < layer.kernel; ++ky) {
+        const int iy = oy * layer.stride - layer.pad + ky;
+        if (iy < 0 || iy >= layer.in_h) continue;
+        for (int kx = 0; kx < layer.kernel; ++kx) {
+          const int ix = ox * layer.stride - layer.pad + kx;
+          if (ix < 0 || ix >= layer.in_w) continue;
+          const int8_t* px =
+              in.data() +
+              (static_cast<size_t>(iy) * layer.in_w + ix) * channels;
+          const int8_t* w =
+              weights + dw_weight_index(0, ky * layer.kernel + kx, channels);
+          for (int ch = 0; ch < channels; ++ch)
+            acc[static_cast<size_t>(ch)] +=
+                (static_cast<int32_t>(px[ch]) - zp) * w[ch];
+        }
+      }
       int8_t* orow =
-          out.data() + (static_cast<size_t>(oy) * ow + ox) * layer.channels;
-      for (int ch = 0; ch < layer.channels; ++ch) {
-        const int32_t acc =
-            depthwise_accumulate_ref(layer, in, oy, ox, ch, skip);
+          out.data() + (static_cast<size_t>(oy) * ow + ox) * channels;
+      for (int ch = 0; ch < channels; ++ch) {
         const int32_t scaled =
             multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(ch)]) +
+                acc[static_cast<size_t>(ch)],
+                layer.requant[static_cast<size_t>(ch)]) +
             layer.out.zero_point;
         orow[ch] = static_cast<int8_t>(
             std::clamp(scaled, layer.act_min, layer.act_max));

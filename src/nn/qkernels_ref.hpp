@@ -1,8 +1,17 @@
 // Reference (golden) int8 kernels.
 //
-// Straightforward nested loops with explicit zero-point handling; every
-// optimized engine in the repo (CMSIS-like packed, unpacked/approximate,
-// generated C) is tested bit-exact against these.
+// Every optimized engine in the repo (CMSIS-like packed,
+// unpacked/approximate, generated C) is tested bit-exact against these.
+// Conv gathers each output position's patch once into an int16 column of
+// (x - zero_point), padding taps as 0, and takes one contiguous dot
+// product per output channel; depthwise accumulates tap by tap over the
+// contiguous channels of its [tap][channel] weights. A skip mask is
+// applied once per call as a weight copy with the skipped operands set to
+// 0, so masked and exact runs share one loop. Neither change can alter a
+// result: every int32 sum holds the same products as the per-operand
+// definition, and none can overflow (|x - zp| <= 255, |w| <= 128, and a
+// conv patch is checked to have fewer than 2^16 operands), so the
+// summation order does not matter.
 #pragma once
 
 #include <cstdint>
@@ -54,16 +63,6 @@ void dense_ref(const QDense& layer, std::span<const int8_t> in,
 // inputs and the output have identical shape.
 void qadd_ref(const QAdd& layer, std::span<const int8_t> in_a,
               std::span<const int8_t> in_b, std::span<int8_t> out);
-
-// Single-channel accumulator for one conv output position — shared by the
-// reference kernel and the significance brute-force tests.
-int32_t conv_accumulate_ref(const QConv2D& layer, std::span<const int8_t> in,
-                            int oy, int ox, int oc, const uint8_t* skip);
-
-// As above for one depthwise output position/channel.
-int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
-                                 std::span<const int8_t> in, int oy, int ox,
-                                 int ch, const uint8_t* skip);
 
 // Dispatch any QLayer through its reference kernel: sizes `out` from the
 // layer descriptor and runs the matching *_ref above (`skip` applies to

@@ -68,21 +68,33 @@ SkipMask SkipMask::none(const QModel& model) {
   return mask;
 }
 
+void zero_skipped_weights(const QConv2D& conv, const uint8_t* skip,
+                          std::span<int8_t> weights) {
+  // Plain conv: mask index == weight index ([out_c][patch]).
+  ATAMAN_ASSERT(weights.size() == conv.weights.size());
+  for (size_t i = 0; i < weights.size(); ++i)
+    if (skip[i]) weights[i] = 0;
+}
+
+void zero_skipped_weights(const QDepthwiseConv2D& dw, const uint8_t* skip,
+                          std::span<int8_t> weights) {
+  // Depthwise: mask is [channel][tap], weights are [tap][channel].
+  ATAMAN_ASSERT(static_cast<int64_t>(weights.size()) == dw.weight_count());
+  const int patch = dw.patch_size();
+  for (int ch = 0; ch < dw.channels; ++ch)
+    for (int p = 0; p < patch; ++p)
+      if (skip[static_cast<size_t>(ch) * patch + p])
+        weights[dw_weight_index(ch, p, dw.channels)] = 0;
+}
+
 void zero_skipped_weights(QLayer& layer, const std::vector<uint8_t>& mask) {
   if (mask.empty()) return;
   if (auto* conv = std::get_if<QConv2D>(&layer)) {
-    // Plain conv: mask index == weight index ([out_c][patch]).
     ATAMAN_ASSERT(mask.size() == conv->weights.size());
-    for (size_t i = 0; i < mask.size(); ++i)
-      if (mask[i]) conv->weights[i] = 0;
+    zero_skipped_weights(*conv, mask.data(), conv->weights);
   } else if (auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-    // Depthwise: mask is [channel][tap], weights are [tap][channel].
-    const int patch = dw->patch_size();
     ATAMAN_ASSERT(static_cast<int64_t>(mask.size()) == dw->weight_count());
-    for (int ch = 0; ch < dw->channels; ++ch)
-      for (int p = 0; p < patch; ++p)
-        if (mask[static_cast<size_t>(ch) * patch + p])
-          dw->weights[dw_weight_index(ch, p, dw->channels)] = 0;
+    zero_skipped_weights(*dw, mask.data(), dw->weights);
   } else {
     fail("zero_skipped_weights on a non-approximable layer");
   }

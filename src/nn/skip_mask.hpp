@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/quant/qtypes.hpp"
@@ -45,13 +46,21 @@ struct SkipMask {
 // A copy of `model` with every skipped conv/depthwise weight set to zero.
 // The quantized product (a - zp) * w vanishes for w == 0, so running the
 // masked copy through any exact engine is numerically identical to
-// skip-aware execution — and faster to evaluate (no per-MAC branch),
-// which is what the DSE uses for its thousands of accuracy evaluations.
+// skip-aware execution, which is what the DSE uses for its thousands of
+// accuracy evaluations.
 QModel apply_skip_mask(const QModel& model, const SkipMask& mask);
 
 // Zero the weights of one approximable layer in place according to its
-// per-layer mask (the mask/weight index mapping point shared by
-// apply_skip_mask and the DSE prefix cache).
+// per-layer mask.
 void zero_skipped_weights(QLayer& layer, const std::vector<uint8_t>& mask);
+
+// Zero in `weights` (the layer's weight tensor or a copy of it) every
+// operand the per-layer mask `skip` marks. The one mask -> weight index
+// mapping, shared by apply_skip_mask, the DSE prefix cache and the
+// reference kernels.
+void zero_skipped_weights(const QConv2D& conv, const uint8_t* skip,
+                          std::span<int8_t> weights);
+void zero_skipped_weights(const QDepthwiseConv2D& dw, const uint8_t* skip,
+                          std::span<int8_t> weights);
 
 }  // namespace ataman
