@@ -48,7 +48,7 @@ void BM_ConvPackedCmsis(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c);
   for (auto _ : state) {
-    packed_conv2d(conv, packed, in, out);
+    packed_conv2d(conv, packed, in, out, 1);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_mcu_cycles"] =
@@ -67,7 +67,7 @@ void BM_ConvUnpacked(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c);
   for (auto _ : state) {
-    u.run(in, out);
+    u.run(in, out, 1);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_mcu_cycles"] = static_cast<double>(
@@ -79,7 +79,8 @@ BENCHMARK(BM_ConvUnpacked)->Arg(0)->Arg(25)->Arg(50)->Arg(75);
 // Batched GEMM rows: state.range(0) = batch size. items/s counts images,
 // so the per-image amortization of streaming each weight pair (or each
 // unpacked program) once per lane-block shows up directly as items/s
-// scaling from Arg(1) to Arg(8).
+// scaling from Arg(1) to Arg(8). Arg(1) runs the 1-lane block, the same
+// call as the single-image rows above.
 void BM_ConvPackedCmsisBatch(benchmark::State& state) {
   const QConv2D conv = bench_conv();
   const int batch = static_cast<int>(state.range(0));
@@ -90,7 +91,7 @@ void BM_ConvPackedCmsisBatch(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c * static_cast<size_t>(batch));
   for (auto _ : state) {
-    packed_conv2d_batch(conv, packed, in, out, batch);
+    packed_conv2d(conv, packed, in, out, batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -110,7 +111,7 @@ void BM_ConvUnpackedBatch(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c * static_cast<size_t>(batch));
   for (auto _ : state) {
-    u.run_batch(in, out, batch);
+    u.run(in, out, batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -127,7 +128,7 @@ void BM_DenseBatch(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(fc.out_dim) *
                           static_cast<size_t>(batch));
   for (auto _ : state) {
-    packed_dense_batch(fc, packed, in, out, batch);
+    packed_dense(fc, packed, in, out, batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -168,7 +169,7 @@ void BM_DepthwisePackedCmsis(benchmark::State& state) {
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 12);
   std::vector<int8_t> out(static_cast<size_t>(dw.positions()) * dw.channels);
   for (auto _ : state) {
-    packed_depthwise_conv2d(dw, in, out);
+    packed_depthwise_conv2d(dw, in, out, 1);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_mcu_cycles"] =
@@ -186,7 +187,7 @@ void BM_DepthwiseUnpacked(benchmark::State& state) {
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 13);
   std::vector<int8_t> out(static_cast<size_t>(dw.positions()) * dw.channels);
   for (auto _ : state) {
-    u.run(in, out);
+    u.run(in, out, 1);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_mcu_cycles"] = static_cast<double>(

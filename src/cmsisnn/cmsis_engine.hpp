@@ -13,6 +13,7 @@
 
 #include "src/cmsisnn/packed_kernels.hpp"
 #include "src/core/engine_iface.hpp"
+#include "src/core/plan_executor.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/quant/qtypes.hpp"
@@ -26,9 +27,10 @@ class CmsisEngine : public InferenceEngine {
 
   std::vector<int8_t> run(std::span<const uint8_t> image) const override;
 
-  // Batch-amortized path: conv/fc stream each packed weight pair once per
-  // lane-block of kBatchLanes images (see packed_kernels.hpp); pools run
-  // per image (no weights to amortize). Bitwise identical to run().
+  // Batch-amortized path through the shared plan executor: conv/fc
+  // stream each packed weight pair once per lane-block (see
+  // packed_kernels.hpp); pools and adds run per image (no weights to
+  // amortize). Bitwise identical to run().
   bool supports_run_batch() const override { return true; }
   void run_batch(std::span<const std::span<const uint8_t>> images,
                  std::vector<std::vector<int8_t>>& logits_out) const override;
@@ -48,14 +50,15 @@ class CmsisEngine : public InferenceEngine {
   int64_t ram_bytes() const override;
 
  private:
-  CortexM33CostTable costs_;
+  // The executor kernel: conv, depthwise and fc through the packed
+  // kernels over a whole batch.
+  void run_kernel(int layer, int ordinal, std::span<const int8_t> in,
+                  std::span<int8_t> out, int batch) const;
+
   MemoryCostTable memory_;
-  // Shared liveness-based activation plan (src/mcu/memory_model): slot
-  // buffers replace the old ping-pong pair so DAG models (residual adds)
-  // execute with the same peak RAM the memory model reports.
-  ActivationPlan plan_;
-  std::vector<PackedWeights> packed_;  // conv + fc, in layer order
-  std::vector<LayerProfile> profile_;
+  PlanExecutor exec_;
+  std::vector<PackedWeights> packed_;  // by layer; conv and fc only
+  std::vector<LayerProfile> profile_;  // packed_layer_profile
   int64_t total_cycles_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/cmsisnn/packed_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/error.hpp"
 #include "src/common/math_util.hpp"
@@ -38,149 +39,23 @@ PackedWeights PackedWeights::pack(std::span<const int8_t> weights, int out_c,
 
 namespace {
 
-// Dual-MAC dot product over one q15 column; identical accumulation order
-// to the reference kernel (int32 addition is exact, so order is moot).
-int32_t packed_dot(const PackedWeights& packed, int oc, const int16_t* col,
-                   int32_t acc) {
-  const uint32_t* wp = packed.pair_constants.data() +
-                       static_cast<size_t>(oc) * packed.pairs_per_chan;
-  for (int i = 0; i < packed.pairs_per_chan; ++i) {
-    const uint32_t apair = pack_q15_pair(col[2 * i + 1], col[2 * i]);
-    acc = smlad(wp[i], apair, acc);
-  }
-  if (packed.has_single) {
-    const uint32_t wlast = pack_q15_pair(
-        0, packed.single_weights[static_cast<size_t>(oc)]);
-    const uint32_t alast = pack_q15_pair(0, col[packed.patch - 1]);
-    acc = smlabb(wlast, alast, acc);
-  }
-  return acc;
-}
-
-}  // namespace
-
-void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
-                   std::span<const int8_t> in, std::span<int8_t> out) {
-  const ConvGeom& g = layer.geom;
-  check(packed.patch == g.patch_size() && packed.out_c == g.out_c,
-        "packed weights do not match layer");
-  const int oh = g.out_h(), ow = g.out_w();
-  std::vector<int16_t> col(static_cast<size_t>(g.patch_size()));
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      im2col_patch_q15(layer, in, oy, ox, col.data());
-      int8_t* orow =
-          out.data() + (static_cast<size_t>(oy) * ow + ox) * g.out_c;
-      for (int oc = 0; oc < g.out_c; ++oc) {
-        const int32_t acc = packed_dot(
-            packed, oc, col.data(), layer.bias[static_cast<size_t>(oc)]);
-        const int32_t scaled =
-            multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(oc)]) +
-            layer.out.zero_point;
-        orow[oc] = static_cast<int8_t>(
-            std::clamp(scaled, layer.act_min, layer.act_max));
-      }
-    }
-  }
-}
-
-void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
-                             std::span<const int8_t> in,
-                             std::span<int8_t> out) {
-  check(static_cast<int64_t>(in.size()) ==
-            static_cast<int64_t>(layer.in_h) * layer.in_w * layer.channels,
-        "depthwise input size mismatch");
-  check(static_cast<int64_t>(out.size()) ==
-            static_cast<int64_t>(layer.positions()) * layer.channels,
-        "depthwise output size mismatch");
-  const int oh = layer.out_h(), ow = layer.out_w(), c = layer.channels;
-  const int patch = layer.patch_size();
-  const int32_t zp = layer.in.zero_point;
-
-  // One q15 expansion of the receptive field per position, shared by all
-  // channels: col[tap * c + ch], matching the [k][k][c] weight order.
-  std::vector<int16_t> col(static_cast<size_t>(patch) * c);
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      int p = 0;
-      for (int ky = 0; ky < layer.kernel; ++ky) {
-        const int iy = oy * layer.stride - layer.pad + ky;
-        for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
-          const int ix = ox * layer.stride - layer.pad + kx;
-          const bool inside =
-              iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
-          const int8_t* src =
-              inside ? in.data() +
-                           (static_cast<size_t>(iy) * layer.in_w + ix) * c
-                     : nullptr;
-          int16_t* dst = col.data() + static_cast<size_t>(p) * c;
-          for (int ch = 0; ch < c; ++ch)
-            dst[ch] = static_cast<int16_t>((inside ? src[ch] : zp) - zp);
-        }
-      }
-
-      int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * c;
-      for (int ch = 0; ch < c; ++ch) {
-        int32_t acc = layer.bias[static_cast<size_t>(ch)];
-        for (int t = 0; t < patch; ++t) {
-          acc += static_cast<int32_t>(col[static_cast<size_t>(t) * c + ch]) *
-                 static_cast<int32_t>(
-                     layer.weights[static_cast<size_t>(t) * c + ch]);
-        }
-        const int32_t scaled =
-            multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(ch)]) +
-            layer.out.zero_point;
-        orow[ch] = static_cast<int8_t>(
-            std::clamp(scaled, layer.act_min, layer.act_max));
-      }
-    }
-  }
-}
-
-void packed_dense(const QDense& layer, const PackedWeights& packed,
-                  std::span<const int8_t> in, std::span<int8_t> out) {
-  check(packed.patch == layer.in_dim && packed.out_c == layer.out_dim,
-        "packed weights do not match layer");
-  // Expand the input once to zero-point-corrected q15 (CMSIS expands the
-  // activation vector for its q7 FC kernels the same way).
-  std::vector<int16_t> col(static_cast<size_t>(layer.in_dim));
-  for (int i = 0; i < layer.in_dim; ++i) {
-    col[static_cast<size_t>(i)] = static_cast<int16_t>(
-        static_cast<int32_t>(in[static_cast<size_t>(i)]) -
-        layer.in.zero_point);
-  }
-  for (int oc = 0; oc < layer.out_dim; ++oc) {
-    const int32_t acc =
-        packed_dot(packed, oc, col.data(), layer.bias[static_cast<size_t>(oc)]);
-    const int32_t scaled =
-        multiply_by_quantized_multiplier(acc, layer.requant) +
-        layer.out.zero_point;
-    out[static_cast<size_t>(oc)] = static_cast<int8_t>(
-        std::clamp(scaled, layer.act_min, layer.act_max));
-  }
-}
-
-namespace {
-
-// Dual-MAC dot product over a lane-block of q15 columns: every weight
-// pair constant is loaded once and multiplied into all kBatchLanes
-// accumulators before the next pair streams in. The lane loops have
-// constant trip counts (stale/padding lanes compute garbage that the
-// caller never stores — SMLAD wraparound is defined), which is what lets
-// the compiler keep the four accumulators in one vector register.
-void packed_dot_lanes(const PackedWeights& packed, int oc,
-                      const int16_t* cols, int32_t bias,
-                      int32_t acc[kBatchLanes]) {
-  for (int j = 0; j < kBatchLanes; ++j) acc[j] = bias;
+// Dual-MAC dot product over a lane-block of q15 columns (lane j at
+// cols + j * patch): every weight pair constant is loaded once and
+// multiplied into all `Lanes` accumulators before the next pair streams
+// in. Padding lanes of a ragged tail compute garbage that the caller
+// never stores (SMLAD wraparound is defined).
+template <int Lanes>
+std::array<int32_t, Lanes> packed_dot_lanes(const PackedWeights& packed,
+                                            int oc, const int16_t* cols,
+                                            int32_t bias) {
+  std::array<int32_t, Lanes> acc;
+  acc.fill(bias);
   const uint32_t* wp = packed.pair_constants.data() +
                        static_cast<size_t>(oc) * packed.pairs_per_chan;
   const size_t patch = static_cast<size_t>(packed.patch);
   for (int i = 0; i < packed.pairs_per_chan; ++i) {
     const uint32_t w = wp[i];
-    for (int j = 0; j < kBatchLanes; ++j) {
+    for (int j = 0; j < Lanes; ++j) {
       const int16_t* col = cols + static_cast<size_t>(j) * patch;
       acc[j] = smlad(w, pack_q15_pair(col[2 * i + 1], col[2 * i]), acc[j]);
     }
@@ -188,182 +63,207 @@ void packed_dot_lanes(const PackedWeights& packed, int oc,
   if (packed.has_single) {
     const uint32_t wlast = pack_q15_pair(
         0, packed.single_weights[static_cast<size_t>(oc)]);
-    for (int j = 0; j < kBatchLanes; ++j) {
+    for (int j = 0; j < Lanes; ++j) {
       const int16_t* col = cols + static_cast<size_t>(j) * patch;
       acc[j] = smlabb(wlast, pack_q15_pair(0, col[packed.patch - 1]), acc[j]);
     }
   }
+  return acc;
 }
 
-int32_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
-                      int32_t out_zp, int32_t act_min, int32_t act_max) {
+int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
+                     int32_t out_zp, int32_t act_min, int32_t act_max) {
   const int32_t scaled =
       multiply_by_quantized_multiplier(acc, requant) + out_zp;
-  return std::clamp(scaled, act_min, act_max);
+  return static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
+}
+
+// Lane-block bodies (see packed_kernels.hpp): images [b0, b0 + bn) of
+// the contiguous batch, computed in L lanes over the lane-major q15
+// column buffer `cols` (kBatchLanes lanes long).
+
+template <int L>
+void packed_conv_block(const QConv2D& layer, const PackedWeights& packed,
+                       std::span<const int8_t> in, std::span<int8_t> out,
+                       int b0, int bn, int16_t* cols) {
+  const ConvGeom& g = layer.geom;
+  const size_t in_elems = static_cast<size_t>(g.in_h) * g.in_w * g.in_c;
+  const int oh = g.out_h(), ow = g.out_w();
+  const size_t out_elems = static_cast<size_t>(oh) * ow * g.out_c;
+  const size_t patch = static_cast<size_t>(g.patch_size());
+  if (bn < L) std::fill_n(cols, L * patch, int16_t{0});
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      for (int j = 0; j < bn; ++j) {
+        im2col_patch_q15(
+            layer,
+            in.subspan(static_cast<size_t>(b0 + j) * in_elems, in_elems), oy,
+            ox, cols + static_cast<size_t>(j) * patch);
+      }
+      const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * g.out_c;
+      for (int oc = 0; oc < g.out_c; ++oc) {
+        const auto acc = packed_dot_lanes<L>(
+            packed, oc, cols, layer.bias[static_cast<size_t>(oc)]);
+        for (int j = 0; j < bn; ++j) {
+          out[static_cast<size_t>(b0 + j) * out_elems + orow_off + oc] =
+              requant_clamp(acc[j], layer.requant[static_cast<size_t>(oc)],
+                            layer.out.zero_point, layer.act_min,
+                            layer.act_max);
+        }
+      }
+    }
+  }
+}
+
+// Lane-major blocks of the shared per-position q15 expansion:
+// cols[j * patch * c + tap * c + ch] for image b0 + j. Each filter
+// weight is then loaded once per tap and multiplied into all lanes.
+template <int L>
+void packed_depthwise_block(const QDepthwiseConv2D& layer,
+                            std::span<const int8_t> in, std::span<int8_t> out,
+                            int b0, int bn, int16_t* cols) {
+  const int oh = layer.out_h(), ow = layer.out_w(), c = layer.channels;
+  const size_t in_elems = static_cast<size_t>(layer.in_h) * layer.in_w * c;
+  const size_t out_elems = static_cast<size_t>(layer.positions()) * c;
+  const int patch = layer.patch_size();
+  const int32_t zp = layer.in.zero_point;
+  const size_t lane_stride = static_cast<size_t>(patch) * c;
+  if (bn < L) std::fill_n(cols, L * lane_stride, int16_t{0});
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      for (int j = 0; j < bn; ++j) {
+        const int8_t* img = in.data() + static_cast<size_t>(b0 + j) * in_elems;
+        int16_t* lane = cols + static_cast<size_t>(j) * lane_stride;
+        int p = 0;
+        for (int ky = 0; ky < layer.kernel; ++ky) {
+          const int iy = oy * layer.stride - layer.pad + ky;
+          for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
+            const int ix = ox * layer.stride - layer.pad + kx;
+            const bool inside =
+                iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
+            const int8_t* src =
+                inside ? img + (static_cast<size_t>(iy) * layer.in_w + ix) * c
+                       : nullptr;
+            int16_t* dst = lane + static_cast<size_t>(p) * c;
+            for (int ch = 0; ch < c; ++ch)
+              dst[ch] = static_cast<int16_t>((inside ? src[ch] : zp) - zp);
+          }
+        }
+      }
+      const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
+      for (int ch = 0; ch < c; ++ch) {
+        int32_t acc[L];
+        for (int j = 0; j < L; ++j)
+          acc[j] = layer.bias[static_cast<size_t>(ch)];
+        for (int t = 0; t < patch; ++t) {
+          const int32_t w = layer.weights[static_cast<size_t>(t) * c + ch];
+          const size_t tap_off = static_cast<size_t>(t) * c + ch;
+          for (int j = 0; j < L; ++j) {
+            acc[j] += static_cast<int32_t>(
+                          cols[static_cast<size_t>(j) * lane_stride +
+                               tap_off]) *
+                      w;
+          }
+        }
+        for (int j = 0; j < bn; ++j) {
+          out[static_cast<size_t>(b0 + j) * out_elems + orow_off + ch] =
+              requant_clamp(acc[j], layer.requant[static_cast<size_t>(ch)],
+                            layer.out.zero_point, layer.act_min,
+                            layer.act_max);
+        }
+      }
+    }
+  }
+}
+
+// Expands each image once to zero-point-corrected q15 (CMSIS expands
+// the activation vector for its q7 FC kernels the same way).
+template <int L>
+void packed_dense_block(const QDense& layer, const PackedWeights& packed,
+                        std::span<const int8_t> in, std::span<int8_t> out,
+                        int b0, int bn, int16_t* cols) {
+  const size_t in_elems = static_cast<size_t>(layer.in_dim);
+  const size_t out_elems = static_cast<size_t>(layer.out_dim);
+  if (bn < L) std::fill_n(cols, L * in_elems, int16_t{0});
+  for (int j = 0; j < bn; ++j) {
+    const int8_t* img = in.data() + static_cast<size_t>(b0 + j) * in_elems;
+    int16_t* lane = cols + static_cast<size_t>(j) * in_elems;
+    for (size_t i = 0; i < in_elems; ++i) {
+      lane[i] = static_cast<int16_t>(static_cast<int32_t>(img[i]) -
+                                     layer.in.zero_point);
+    }
+  }
+  for (int oc = 0; oc < layer.out_dim; ++oc) {
+    const auto acc = packed_dot_lanes<L>(packed, oc, cols,
+                                         layer.bias[static_cast<size_t>(oc)]);
+    for (int j = 0; j < bn; ++j) {
+      out[static_cast<size_t>(b0 + j) * out_elems + oc] =
+          requant_clamp(acc[j], layer.requant, layer.out.zero_point,
+                        layer.act_min, layer.act_max);
+    }
+  }
 }
 
 }  // namespace
 
-void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
-                         std::span<const int8_t> in, std::span<int8_t> out,
-                         int batch) {
+void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
+                   std::span<const int8_t> in, std::span<int8_t> out,
+                   int batch) {
   const ConvGeom& g = layer.geom;
   check(packed.patch == g.patch_size() && packed.out_c == g.out_c,
         "packed weights do not match layer");
-  check(batch >= 1, "packed_conv2d_batch: batch must be >= 1");
-  const size_t in_elems =
-      static_cast<size_t>(g.in_h) * g.in_w * g.in_c;
-  const int oh = g.out_h(), ow = g.out_w();
-  const size_t out_elems = static_cast<size_t>(oh) * ow * g.out_c;
-  check(in.size() == in_elems * static_cast<size_t>(batch),
-        "batched conv input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "batched conv output size mismatch");
-  const size_t patch = static_cast<size_t>(g.patch_size());
-
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * patch);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    // Padding lanes of a ragged tail keep whatever the zero-fill leaves;
-    // they are computed but never stored.
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int j = 0; j < bn; ++j) {
-          im2col_patch_q15(
-              layer,
-              in.subspan(static_cast<size_t>(b0 + j) * in_elems, in_elems),
-              oy, ox, cols.data() + static_cast<size_t>(j) * patch);
-        }
-        const size_t orow_off =
-            (static_cast<size_t>(oy) * ow + ox) * g.out_c;
-        for (int oc = 0; oc < g.out_c; ++oc) {
-          int32_t acc[kBatchLanes];
-          packed_dot_lanes(packed, oc, cols.data(),
-                           layer.bias[static_cast<size_t>(oc)], acc);
-          for (int j = 0; j < bn; ++j) {
-            out[static_cast<size_t>(b0 + j) * out_elems + orow_off + oc] =
-                static_cast<int8_t>(requant_clamp(
-                    acc[j], layer.requant[static_cast<size_t>(oc)],
-                    layer.out.zero_point, layer.act_min, layer.act_max));
-          }
-        }
-      }
-    }
-  }
+  check(batch >= 1, "packed_conv2d: batch must be >= 1");
+  check(in.size() == static_cast<size_t>(g.in_h) * g.in_w * g.in_c *
+                         static_cast<size_t>(batch),
+        "packed conv input size mismatch");
+  check(out.size() == static_cast<size_t>(g.positions()) * g.out_c *
+                          static_cast<size_t>(batch),
+        "packed conv output size mismatch");
+  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) *
+                            static_cast<size_t>(g.patch_size()));
+  for_each_lane_block(batch, [&](auto lanes, int b0, int bn) {
+    packed_conv_block<decltype(lanes)::value>(layer, packed, in, out, b0, bn,
+                                              cols.data());
+  });
 }
 
-void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
-                                   std::span<const int8_t> in,
-                                   std::span<int8_t> out, int batch) {
-  check(batch >= 1, "packed_depthwise_conv2d_batch: batch must be >= 1");
-  const size_t in_elems =
-      static_cast<size_t>(layer.in_h) * layer.in_w * layer.channels;
-  const int oh = layer.out_h(), ow = layer.out_w(), c = layer.channels;
-  const size_t out_elems =
-      static_cast<size_t>(layer.positions()) * layer.channels;
-  check(in.size() == in_elems * static_cast<size_t>(batch),
-        "batched depthwise input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "batched depthwise output size mismatch");
-  const int patch = layer.patch_size();
-  const int32_t zp = layer.in.zero_point;
-  const size_t lane_stride = static_cast<size_t>(patch) * c;
-
-  // Lane-major blocks of the shared per-position q15 expansion:
-  // cols[j * patch * c + tap * c + ch] for image b0 + j. Each filter
-  // weight is then loaded once per tap and multiplied into all lanes.
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * lane_stride);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int j = 0; j < bn; ++j) {
-          const int8_t* img =
-              in.data() + static_cast<size_t>(b0 + j) * in_elems;
-          int16_t* lane = cols.data() + static_cast<size_t>(j) * lane_stride;
-          int p = 0;
-          for (int ky = 0; ky < layer.kernel; ++ky) {
-            const int iy = oy * layer.stride - layer.pad + ky;
-            for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
-              const int ix = ox * layer.stride - layer.pad + kx;
-              const bool inside =
-                  iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
-              const int8_t* src =
-                  inside
-                      ? img + (static_cast<size_t>(iy) * layer.in_w + ix) * c
-                      : nullptr;
-              int16_t* dst = lane + static_cast<size_t>(p) * c;
-              for (int ch = 0; ch < c; ++ch)
-                dst[ch] = static_cast<int16_t>((inside ? src[ch] : zp) - zp);
-            }
-          }
-        }
-        const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
-        for (int ch = 0; ch < c; ++ch) {
-          int32_t acc[kBatchLanes];
-          for (int j = 0; j < kBatchLanes; ++j)
-            acc[j] = layer.bias[static_cast<size_t>(ch)];
-          for (int t = 0; t < patch; ++t) {
-            const int32_t w = layer.weights[static_cast<size_t>(t) * c + ch];
-            const size_t tap_off = static_cast<size_t>(t) * c + ch;
-            for (int j = 0; j < kBatchLanes; ++j) {
-              acc[j] += static_cast<int32_t>(
-                            cols[static_cast<size_t>(j) * lane_stride +
-                                 tap_off]) *
-                        w;
-            }
-          }
-          for (int j = 0; j < bn; ++j) {
-            out[static_cast<size_t>(b0 + j) * out_elems + orow_off + ch] =
-                static_cast<int8_t>(requant_clamp(
-                    acc[j], layer.requant[static_cast<size_t>(ch)],
-                    layer.out.zero_point, layer.act_min, layer.act_max));
-          }
-        }
-      }
-    }
-  }
+void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
+                             std::span<const int8_t> in,
+                             std::span<int8_t> out, int batch) {
+  check(batch >= 1, "packed_depthwise_conv2d: batch must be >= 1");
+  check(in.size() == static_cast<size_t>(layer.in_h) * layer.in_w *
+                         layer.channels * static_cast<size_t>(batch),
+        "depthwise input size mismatch");
+  check(out.size() == static_cast<size_t>(layer.positions()) *
+                          layer.channels * static_cast<size_t>(batch),
+        "depthwise output size mismatch");
+  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) *
+                            static_cast<size_t>(layer.patch_size()) *
+                            static_cast<size_t>(layer.channels));
+  for_each_lane_block(batch, [&](auto lanes, int b0, int bn) {
+    packed_depthwise_block<decltype(lanes)::value>(layer, in, out, b0, bn,
+                                                   cols.data());
+  });
 }
 
-void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
-                        std::span<const int8_t> in, std::span<int8_t> out,
-                        int batch) {
+void packed_dense(const QDense& layer, const PackedWeights& packed,
+                  std::span<const int8_t> in, std::span<int8_t> out,
+                  int batch) {
   check(packed.patch == layer.in_dim && packed.out_c == layer.out_dim,
         "packed weights do not match layer");
-  check(batch >= 1, "packed_dense_batch: batch must be >= 1");
-  const size_t in_elems = static_cast<size_t>(layer.in_dim);
-  const size_t out_elems = static_cast<size_t>(layer.out_dim);
-  check(in.size() == in_elems * static_cast<size_t>(batch),
-        "batched dense input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "batched dense output size mismatch");
-
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * in_elems);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
-    for (int j = 0; j < bn; ++j) {
-      const int8_t* img = in.data() + static_cast<size_t>(b0 + j) * in_elems;
-      int16_t* lane = cols.data() + static_cast<size_t>(j) * in_elems;
-      for (size_t i = 0; i < in_elems; ++i) {
-        lane[i] = static_cast<int16_t>(static_cast<int32_t>(img[i]) -
-                                       layer.in.zero_point);
-      }
-    }
-    for (int oc = 0; oc < layer.out_dim; ++oc) {
-      int32_t acc[kBatchLanes];
-      packed_dot_lanes(packed, oc, cols.data(),
-                       layer.bias[static_cast<size_t>(oc)], acc);
-      for (int j = 0; j < bn; ++j) {
-        out[static_cast<size_t>(b0 + j) * out_elems + oc] =
-            static_cast<int8_t>(requant_clamp(acc[j], layer.requant,
-                                              layer.out.zero_point,
-                                              layer.act_min, layer.act_max));
-      }
-    }
-  }
+  check(batch >= 1, "packed_dense: batch must be >= 1");
+  check(in.size() ==
+            static_cast<size_t>(layer.in_dim) * static_cast<size_t>(batch),
+        "dense input size mismatch");
+  check(out.size() ==
+            static_cast<size_t>(layer.out_dim) * static_cast<size_t>(batch),
+        "dense output size mismatch");
+  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) *
+                            static_cast<size_t>(layer.in_dim));
+  for_each_lane_block(batch, [&](auto lanes, int b0, int bn) {
+    packed_dense_block<decltype(lanes)::value>(layer, packed, in, out, b0, bn,
+                                               cols.data());
+  });
 }
 
 }  // namespace ataman

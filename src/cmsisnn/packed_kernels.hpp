@@ -7,8 +7,10 @@
 // instruction stream differs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/quant/qtypes.hpp"
@@ -31,8 +33,48 @@ struct PackedWeights {
                             int patch);
 };
 
+// ---- Lane blocks ------------------------------------------------------
+//
+// Every packed and unpacked kernel takes a contiguous batch: image b
+// lives at in + b * in_elems and out + b * out_elems. The batch is
+// folded into the GEMM N dimension in lane-blocks: each weight constant
+// is loaded once and multiplied into one independent accumulator per
+// lane (the SMLAD dual-MAC idiom widened to SSE/NEON register width),
+// and the requantize epilogue runs per block. Numerics are bitwise
+// identical for every batch size and block split: int32 accumulation is
+// exact, so only the operand walk order changes.
+//
+// The lane count is a template parameter chosen per block from the
+// batch size. A block of two or more images runs kBatchLanes lanes; a
+// ragged tail computes its padding lanes over zero-filled columns and
+// stores only the live ones, so every inner loop keeps a constant trip
+// count. A block holding a single image (a batch of one, or the last
+// image of a batch of 4k+1) runs the 1-lane instantiation, so a single
+// image never pays for four lanes.
+
+// Images per full accumulator block: four int32 accumulators span one
+// 128-bit SSE/NEON register, so the fixed-trip-count lane loops
+// auto-vectorize.
+inline constexpr int kBatchLanes = 4;
+
+// Calls block(lanes, b0, bn) for each lane-block of `batch` images:
+// images [b0, b0 + bn) run with lanes = std::integral_constant<int, L>,
+// L = 1 when bn == 1 and kBatchLanes otherwise.
+template <typename Block>
+void for_each_lane_block(int batch, Block&& block) {
+  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
+    const int bn = std::min(kBatchLanes, batch - b0);
+    if (bn == 1) {
+      block(std::integral_constant<int, 1>{}, b0, bn);
+    } else {
+      block(std::integral_constant<int, kBatchLanes>{}, b0, bn);
+    }
+  }
+}
+
 void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
-                   std::span<const int8_t> in, std::span<int8_t> out);
+                   std::span<const int8_t> in, std::span<int8_t> out,
+                   int batch);
 
 // Depthwise loop kernel in the arm_depthwise_conv_s8 shape: one shared
 // zero-point-corrected q15 patch expansion per output position (taps x
@@ -45,39 +87,10 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
 // depthwise_conv2d_ref.
 void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
                              std::span<const int8_t> in,
-                             std::span<int8_t> out);
+                             std::span<int8_t> out, int batch);
 
 void packed_dense(const QDense& layer, const PackedWeights& packed,
-                  std::span<const int8_t> in, std::span<int8_t> out);
-
-// ---- Batched variants -------------------------------------------------
-//
-// `in`/`out` are contiguous batches: image b lives at in + b * in_elems
-// and out + b * out_elems. Numerics are bitwise identical to running the
-// per-image kernel on each image (int32 accumulation is exact, so only
-// the operand walk order changes): the batch is folded into the GEMM N
-// dimension in lane-blocks of kBatchLanes images, each weight pair
-// constant is loaded once and multiplied into kBatchLanes independent
-// accumulators (the SMLAD dual-MAC idiom widened to SSE/NEON register
-// width), and the requantize epilogue runs per lane-block. Ragged tails
-// are handled by computing all kBatchLanes lanes over a zero-padded
-// column block and storing only the live ones, so every inner loop has a
-// constant trip count.
-
-// Images per accumulator block: four int32 accumulators span one 128-bit
-// SSE/NEON register, so the fixed-trip-count lane loops auto-vectorize.
-inline constexpr int kBatchLanes = 4;
-
-void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
-                         std::span<const int8_t> in, std::span<int8_t> out,
-                         int batch);
-
-void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
-                                   std::span<const int8_t> in,
-                                   std::span<int8_t> out, int batch);
-
-void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
-                        std::span<const int8_t> in, std::span<int8_t> out,
-                        int batch);
+                  std::span<const int8_t> in, std::span<int8_t> out,
+                  int batch);
 
 }  // namespace ataman

@@ -2,6 +2,7 @@
 
 #include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/core/eval.hpp"
+#include "src/core/plan_executor.hpp"
 #include "src/nn/engine.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 #include "src/xcube/xcube_engine.hpp"
@@ -16,11 +17,7 @@ std::vector<int8_t> InferenceEngine::quantize_input(
   check(static_cast<int64_t>(image.size()) == expected,
         "input image size mismatch");
   std::vector<int8_t> q(image.size());
-  for (size_t i = 0; i < image.size(); ++i) {
-    // input scale is 1/255 with zero_point -128: q = pixel - 128 exactly.
-    const float real = static_cast<float>(image[i]) / 255.0f;
-    q[i] = m.input.quantize(real);
-  }
+  quantize_pixels(m.input, image, q);
   return q;
 }
 

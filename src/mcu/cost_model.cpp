@@ -110,28 +110,44 @@ int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t) {
       std::llround(t.qadd_per_elem * static_cast<double>(layer.elems())));
 }
 
-int64_t packed_model_cycles(const QModel& model, const CortexM33CostTable& t) {
-  double total = 0.0;
+std::vector<LayerProfile> packed_layer_profile(const QModel& model,
+                                               const CortexM33CostTable& t) {
+  const auto dispatch = static_cast<int64_t>(std::llround(t.layer_dispatch));
+  std::vector<LayerProfile> rows;
   int out_dim = 0;
   for (const QLayer& layer : model.layers) {
-    total += t.layer_dispatch;
+    rows.push_back({"dispatch", dispatch, 0});
     if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      total += static_cast<double>(packed_conv_cycles(*conv, t));
+      rows.push_back({"conv", packed_conv_cycles(*conv, t), conv->geom.macs()});
     } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      total += static_cast<double>(packed_depthwise_cycles(*dw, t));
+      rows.push_back(
+          {"depthwise", packed_depthwise_cycles(*dw, t), dw->macs()});
     } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      total += static_cast<double>(pool_cycles(*pool, t));
+      rows.push_back({"pool", pool_cycles(*pool, t), 0});
     } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      total += static_cast<double>(avgpool_cycles(*pool, t));
+      rows.push_back({"avgpool", avgpool_cycles(*pool, t), 0});
     } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      total += static_cast<double>(dense_cycles(*fc, t));
+      rows.push_back({"fc", dense_cycles(*fc, t), fc->macs()});
       out_dim = fc->out_dim;
     } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      total += static_cast<double>(qadd_cycles(*add, t));
+      rows.push_back({"add", qadd_cycles(*add, t), 0});
     }
   }
-  total += t.softmax_per_logit * out_dim;
-  return static_cast<int64_t>(std::llround(total));
+  rows.push_back({"softmax",
+                  static_cast<int64_t>(std::llround(t.softmax_per_logit *
+                                                    out_dim)),
+                  0});
+  return rows;
+}
+
+int64_t sum_profile_cycles(const std::vector<LayerProfile>& profile) {
+  int64_t total = 0;
+  for (const LayerProfile& row : profile) total += row.cycles;
+  return total;
+}
+
+int64_t packed_model_cycles(const QModel& model, const CortexM33CostTable& t) {
+  return sum_profile_cycles(packed_layer_profile(model, t));
 }
 
 BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,

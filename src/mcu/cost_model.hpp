@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "src/mcu/deploy_report.hpp"
 #include "src/quant/qtypes.hpp"
@@ -138,8 +139,17 @@ int64_t avgpool_cycles(const QAvgPool& layer,
 // engine; never approximated, never unpacked).
 int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t = {});
 
-// Whole-model cycles for the packed (exact CMSIS-like) engine, including
-// per-layer dispatch and the final softmax.
+// Per-layer cycle rows of the packed (exact CMSIS-like) engine: a
+// "dispatch" row and the kernel row for each layer, then the final
+// "softmax" row. Every row is rounded to whole cycles.
+std::vector<LayerProfile> packed_layer_profile(
+    const QModel& model, const CortexM33CostTable& t = {});
+
+// Sum of the cycle column of a profile.
+int64_t sum_profile_cycles(const std::vector<LayerProfile>& profile);
+
+// Whole-model cycles for the packed engine: the sum of
+// packed_layer_profile, so the profile and the total always agree.
 int64_t packed_model_cycles(const QModel& model,
                             const CortexM33CostTable& t = {});
 

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "src/core/engine_iface.hpp"
+#include "src/core/plan_executor.hpp"
 #include "src/data/dataset.hpp"
-#include "src/mcu/memory_model.hpp"
 #include "src/nn/skip_mask.hpp"
 #include "src/quant/qtypes.hpp"
 
@@ -54,9 +54,9 @@ class RefEngine : public InferenceEngine {
   std::vector<int8_t> run(std::span<const uint8_t> image) const override;
   int classify(std::span<const uint8_t> image) const override;
 
-  // Layer-major batched walk under the bound mask: each layer runs over
-  // the whole batch before the next one starts, so its weights stay hot
-  // across all images instead of being re-streamed per image.
+  // Layer-major batched walk under the bound mask (src/core
+  // PlanExecutor): each layer runs over the whole batch before the next
+  // one starts, so its weights stay hot across all images.
   bool supports_run_batch() const override { return true; }
   void run_batch(std::span<const std::span<const uint8_t>> images,
                  std::vector<std::vector<int8_t>>& logits_out) const override;
@@ -100,18 +100,12 @@ class RefEngine : public InferenceEngine {
   int classify(std::span<const uint8_t> image, const SkipMask* mask) const;
 
  private:
-  // Shared DAG walker: executes layers [layer_begin, end) in topological
-  // (stored) order over slot buffers from the liveness plan. `act` is
-  // tensor `layer_begin`, so layer_begin must be a linear boundary
-  // (QModel::linear_boundary) — trivially true everywhere on chains.
-  std::vector<int8_t> run_layers(int layer_begin, std::vector<int8_t> act,
-                                 const SkipMask* mask,
-                                 const ConvTap& tap) const;
+  // The executor kernel under `mask` (validated here): each image of a
+  // block runs the golden kernel, after `tap` sees its input.
+  PlanExecutor::Kernel kernel(const SkipMask* mask,
+                              const ConvTap& tap) const;
 
-  // Liveness-based activation-buffer plan (src/mcu/memory_model),
-  // computed once per model: slot assignment degenerates to the old
-  // ping-pong pair on chains.
-  ActivationPlan plan_;
+  PlanExecutor exec_;
   const SkipMask* default_mask_ = nullptr;
 };
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "src/quant/qtypes.hpp"
 
@@ -64,19 +63,13 @@ void dense_ref(const QDense& layer, std::span<const int8_t> in,
 void qadd_ref(const QAdd& layer, std::span<const int8_t> in_a,
               std::span<const int8_t> in_b, std::span<int8_t> out);
 
-// Dispatch any QLayer through its reference kernel: sizes `out` from the
-// layer descriptor and runs the matching *_ref above (`skip` applies to
-// approximable layers only). The one layer-walk helper every generic
-// executor (RefEngine, the DSE prefix cache, engine constructors) shares.
-void run_layer_ref(const QLayer& layer, std::span<const int8_t> in,
-                   std::vector<int8_t>& out, const uint8_t* skip = nullptr);
-
-// DAG-aware dispatch: same contract but takes the full operand list in
-// QModel::inputs_of order (QAdd reads two tensors; every other layer
-// uses inputs[0]). run_layer_ref is the single-input shorthand.
-void run_layer_ref_multi(const QLayer& layer,
-                         const std::vector<std::span<const int8_t>>& inputs,
-                         std::vector<int8_t>& out,
-                         const uint8_t* skip = nullptr);
+// Dispatch any QLayer through its reference kernel into `out`, which
+// must already have the layer's output size. `in_b` is the second QAdd
+// operand and is ignored by every other kind; `skip` applies to
+// approximable layers only. The plan executor (src/core), the reference
+// engine's streaming walk and the DSE prefix cache all dispatch here.
+void run_layer_ref(const QLayer& layer, std::span<const int8_t> in_a,
+                   std::span<const int8_t> in_b, std::span<int8_t> out,
+                   const uint8_t* skip = nullptr);
 
 }  // namespace ataman

@@ -29,6 +29,14 @@ struct SkipMask {
   std::vector<std::vector<uint8_t>> masks;
 
   bool empty() const;
+  // The skip array of approximable layer `ordinal`, or nullptr when the
+  // layer is untouched (no entry, or an empty one).
+  const uint8_t* layer_skip(int ordinal) const {
+    return ordinal < static_cast<int>(masks.size()) &&
+                   !masks[static_cast<size_t>(ordinal)].empty()
+               ? masks[static_cast<size_t>(ordinal)].data()
+               : nullptr;
+  }
   // Total number of skipped static operands.
   int64_t skipped_static_operands() const;
 

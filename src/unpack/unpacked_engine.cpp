@@ -1,9 +1,8 @@
 #include "src/unpack/unpacked_engine.hpp"
 
-#include <algorithm>
+#include <functional>
 
 #include "src/common/error.hpp"
-#include "src/nn/qkernels_ref.hpp"
 
 namespace ataman {
 
@@ -14,7 +13,8 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
     : InferenceEngine(model, "ataman"),
       costs_(costs),
       memory_(memory),
-      plan_(plan_activations(*model)) {
+      exec_(*model),
+      packed_fc_(model->layers.size()) {
   if (mask != nullptr) mask->validate(this->model());
   if (unpack_selection != nullptr) {
     check(static_cast<int>(unpack_selection->size()) ==
@@ -25,7 +25,8 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
   int ordinal = 0;
   int out_dim = 0;
   double cycles = 0.0;
-  for (const QLayer& layer : this->model().layers) {
+  for (size_t l = 0; l < packed_fc_.size(); ++l) {
+    const QLayer& layer = this->model().layers[l];
     const auto* conv = std::get_if<QConv2D>(&layer);
     const auto* dw = std::get_if<QDepthwiseConv2D>(&layer);
     if (conv != nullptr || dw != nullptr) {
@@ -34,12 +35,8 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
           (*unpack_selection)[static_cast<size_t>(ordinal)] != 0;
       ApproxExec exec;
       exec.is_unpacked = unpack;
-      const uint8_t* skip = nullptr;
-      if (mask != nullptr &&
-          ordinal < static_cast<int>(mask->masks.size()) &&
-          !mask->masks[static_cast<size_t>(ordinal)].empty()) {
-        skip = mask->masks[static_cast<size_t>(ordinal)].data();
-      }
+      const uint8_t* skip =
+          mask != nullptr ? mask->layer_skip(ordinal) : nullptr;
       if (unpack && conv != nullptr) {
         UnpackedConv u = UnpackedConv::build(*conv, skip);
         const int64_t c = unpacked_conv_cycles(*conv, u.static_pairs(),
@@ -93,8 +90,7 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
       cycles += static_cast<double>(c);
     } else if (const auto* fc = std::get_if<QDense>(&layer)) {
       cycles += costs_.layer_dispatch;
-      packed_fc_.push_back(
-          PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim));
+      packed_fc_[l] = PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim);
       const int64_t c = dense_cycles(*fc, costs_);
       profile_.push_back({"fc", c, fc->macs()});
       cycles += static_cast<double>(c);
@@ -122,157 +118,37 @@ int UnpackedEngine::unpacked_conv_count() const {
   return n;
 }
 
-std::vector<int8_t> UnpackedEngine::run(std::span<const uint8_t> image) const {
-  // Slot buffers from the shared liveness plan (ping-pong on chains).
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(static_cast<size_t>(
-          plan_.slot_elems[static_cast<size_t>(info.slot)]));
-    return std::span<int8_t>(slot.data(), static_cast<size_t>(info.elems));
-  };
-  {
-    const std::vector<int8_t> in = quantize_input(image);
-    const std::span<int8_t> entry = tensor_span(0);
-    std::copy(in.begin(), in.end(), entry.begin());
+void UnpackedEngine::run_kernel(int l, int ordinal,
+                                std::span<const int8_t> in,
+                                std::span<int8_t> out, int batch) const {
+  const QLayer& layer = model().layers[static_cast<size_t>(l)];
+  if (const auto* fc = std::get_if<QDense>(&layer)) {
+    packed_dense(*fc, packed_fc_[static_cast<size_t>(l)], in, out, batch);
+    return;
   }
+  const ApproxExec& exec = convs_[static_cast<size_t>(ordinal)];
+  if (exec.unpacked) {
+    exec.unpacked->run(in, out, batch);
+  } else if (exec.unpacked_dw) {
+    exec.unpacked_dw->run(in, out, batch);
+  } else if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+    packed_conv2d(*conv, *exec.packed, in, out, batch);
+  } else {
+    packed_depthwise_conv2d(std::get<QDepthwiseConv2D>(layer), in, out,
+                            batch);
+  }
+}
 
-  const int layer_count = static_cast<int>(model().layers.size());
-  size_t approx_idx = 0, fc_idx = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const std::span<const int8_t> cur = tensor_span(ins[0]);
-    const std::span<int8_t> next = tensor_span(l + 1);
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked->run(cur, next);
-      } else {
-        packed_conv2d(*conv, *exec.packed, cur, next);
-      }
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked_dw->run(cur, next);
-      } else {
-        packed_depthwise_conv2d(*dw, cur, next);
-      }
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      maxpool_ref(*pool, cur, next);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      avgpool_ref(*pool, cur, next);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_dense(*fc, packed_fc_[fc_idx++], cur, next);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      qadd_ref(*add, cur, tensor_span(ins[1]), next);
-    }
-  }
-  const std::span<const int8_t> out = tensor_span(layer_count);
-  return std::vector<int8_t>(out.begin(), out.end());
+std::vector<int8_t> UnpackedEngine::run(std::span<const uint8_t> image) const {
+  return exec_.run(image, std::bind_front(&UnpackedEngine::run_kernel, this));
 }
 
 void UnpackedEngine::run_batch(
     std::span<const std::span<const uint8_t>> images,
     std::vector<std::vector<int8_t>>& logits_out) const {
   check_batch_nonempty(images);
-  const int batch = static_cast<int>(images.size());
-
-  // Contiguous batched activations per tensor over liveness-plan slots
-  // (image b of tensor t at slot_base + b * elems(t)); see CmsisEngine.
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_batch_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(
-          static_cast<size_t>(plan_.slot_elems[static_cast<size_t>(
-              info.slot)]) *
-          static_cast<size_t>(batch));
-    return std::span<int8_t>(
-        slot.data(),
-        static_cast<size_t>(info.elems) * static_cast<size_t>(batch));
-  };
-  const size_t in_elems = static_cast<size_t>(
-      static_cast<int64_t>(model().in_h) * model().in_w * model().in_c);
-  {
-    const std::span<int8_t> entry = tensor_batch_span(0);
-    for (int b = 0; b < batch; ++b) {
-      const std::vector<int8_t> q =
-          quantize_input(images[static_cast<size_t>(b)]);
-      std::copy(q.begin(), q.end(),
-                entry.begin() +
-                    static_cast<std::ptrdiff_t>(static_cast<size_t>(b) *
-                                                in_elems));
-    }
-  }
-
-  const int layer_count = static_cast<int>(model().layers.size());
-  size_t approx_idx = 0, fc_idx = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const size_t cur_elems =
-        static_cast<size_t>(model().tensor_elems(ins[0]));
-    const size_t out_elems =
-        static_cast<size_t>(describe_layer(layer).out_elems);
-    const std::span<const int8_t> cur = tensor_batch_span(ins[0]);
-    const std::span<int8_t> next = tensor_batch_span(l + 1);
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked->run_batch(cur, next, batch);
-      } else {
-        packed_conv2d_batch(*conv, *exec.packed, cur, next, batch);
-      }
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked_dw->run_batch(cur, next, batch);
-      } else {
-        packed_depthwise_conv2d_batch(*dw, cur, next, batch);
-      }
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      for (int b = 0; b < batch; ++b) {
-        maxpool_ref(*pool,
-                    cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                    next.subspan(static_cast<size_t>(b) * out_elems,
-                                 out_elems));
-      }
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      for (int b = 0; b < batch; ++b) {
-        avgpool_ref(*pool,
-                    cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                    next.subspan(static_cast<size_t>(b) * out_elems,
-                                 out_elems));
-      }
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_dense_batch(*fc, packed_fc_[fc_idx++], cur, next, batch);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      const std::span<const int8_t> second = tensor_batch_span(ins[1]);
-      for (int b = 0; b < batch; ++b) {
-        qadd_ref(*add,
-                 cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                 second.subspan(static_cast<size_t>(b) * cur_elems,
-                                cur_elems),
-                 next.subspan(static_cast<size_t>(b) * out_elems, out_elems));
-      }
-    }
-  }
-
-  const std::span<const int8_t> out = tensor_batch_span(layer_count);
-  const size_t final_elems =
-      static_cast<size_t>(model().tensor_elems(layer_count));
-  logits_out.assign(static_cast<size_t>(batch), {});
-  for (int b = 0; b < batch; ++b) {
-    const auto sub = out.subspan(static_cast<size_t>(b) * final_elems,
-                                 final_elems);
-    logits_out[static_cast<size_t>(b)].assign(sub.begin(), sub.end());
-  }
+  exec_.run_batch(images, logits_out,
+                  std::bind_front(&UnpackedEngine::run_kernel, this));
 }
 
 FlashReport UnpackedEngine::flash(const MemoryCostTable& t) const {

@@ -17,6 +17,7 @@
 
 #include "src/cmsisnn/packed_kernels.hpp"
 #include "src/core/engine_iface.hpp"
+#include "src/core/plan_executor.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/skip_mask.hpp"
@@ -37,10 +38,10 @@ class UnpackedEngine : public InferenceEngine {
 
   std::vector<int8_t> run(std::span<const uint8_t> image) const override;
 
-  // Batch-amortized path: unpacked channel programs and packed FC weight
-  // streams execute once per lane-block of kBatchLanes images (hybrid
-  // packed-conv fallbacks use the batched packed kernels). Bitwise
-  // identical to run().
+  // Batch-amortized path through the shared plan executor: unpacked
+  // channel programs and packed FC weight streams execute once per
+  // lane-block (hybrid packed fallbacks use the same lane-blocked packed
+  // kernels). Bitwise identical to run().
   bool supports_run_batch() const override { return true; }
   void run_batch(std::span<const std::span<const uint8_t>> images,
                  std::vector<std::vector<int8_t>>& logits_out) const override;
@@ -85,14 +86,16 @@ class UnpackedEngine : public InferenceEngine {
     std::optional<PackedWeights> packed;
   };
 
+  // The executor kernel: the ordinal's unpacked program or packed
+  // fallback for conv/depthwise, the packed kernel for fc.
+  void run_kernel(int layer, int ordinal, std::span<const int8_t> in,
+                  std::span<int8_t> out, int batch) const;
+
   CortexM33CostTable costs_;
   MemoryCostTable memory_;
-  // Shared liveness-based activation plan (src/mcu/memory_model): slot
-  // buffers replace ping-pong so DAG (residual) models execute with the
-  // peak RAM the memory model reports.
-  ActivationPlan plan_;
+  PlanExecutor exec_;
   std::vector<ApproxExec> convs_;          // by approximable ordinal
-  std::vector<PackedWeights> packed_fc_;   // by fc ordinal
+  std::vector<PackedWeights> packed_fc_;   // by layer; fc only
   std::vector<LayerProfile> profile_;
   int64_t total_cycles_ = 0;
   int64_t executed_macs_ = 0;

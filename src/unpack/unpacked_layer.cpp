@@ -4,7 +4,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/math_util.hpp"
-#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes
+#include "src/cmsisnn/packed_kernels.hpp"  // for_each_lane_block
 #include "src/cmsisnn/smlad.hpp"
 
 namespace ataman {
@@ -61,6 +61,164 @@ ChannelProgram build_channel_program(int32_t bias, int patch,
   return prog;
 }
 
+// Lane-block bodies (see packed_kernels.hpp): images [b0, b0 + bn) of
+// the contiguous batch in L lanes over the lane-major q15 column buffer
+// `cols` (kBatchLanes lanes long).
+//
+// Conv lanes are cols[j * patch + operand]: each program's hardwired
+// weight constant is fetched once and multiplied into one accumulator
+// per lane. The host interpreter materializes the zero-point-corrected
+// patch purely as a host-speed optimization; the *priced* instruction
+// stream (cost_model::unpacked_conv_cycles) models direct activation
+// loads with no such buffer, and the numerics are identical.
+template <int L>
+void unpacked_conv_block(const UnpackedConv& u, std::span<const int8_t> in,
+                         std::span<int8_t> out, int b0, int bn,
+                         int16_t* cols) {
+  const ConvGeom& g = u.geom;
+  const size_t in_elems = static_cast<size_t>(g.in_h) * g.in_w * g.in_c;
+  const size_t out_elems = static_cast<size_t>(g.positions()) * g.out_c;
+  const int oh = g.out_h(), ow = g.out_w();
+  const size_t patch = static_cast<size_t>(g.patch_size());
+  const int32_t zp = u.in_q.zero_point;
+  if (bn < L) std::fill_n(cols, L * patch, int16_t{0});
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      for (int j = 0; j < bn; ++j) {
+        const int8_t* img =
+            in.data() + static_cast<size_t>(b0 + j) * in_elems;
+        int16_t* lane = cols + static_cast<size_t>(j) * patch;
+        int idx = 0;
+        for (int ky = 0; ky < g.kernel; ++ky) {
+          const int iy = oy * g.stride - g.pad + ky;
+          for (int kx = 0; kx < g.kernel; ++kx) {
+            const int ix = ox * g.stride - g.pad + kx;
+            const bool inside =
+                iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+            const int8_t* src =
+                inside ? img + (static_cast<size_t>(iy) * g.in_w + ix) *
+                                   g.in_c
+                       : nullptr;
+            for (int c = 0; c < g.in_c; ++c, ++idx)
+              lane[idx] =
+                  static_cast<int16_t>((inside ? src[c] : zp) - zp);
+          }
+        }
+      }
+      const size_t orow_off =
+          (static_cast<size_t>(oy) * ow + ox) * g.out_c;
+      for (int oc = 0; oc < g.out_c; ++oc) {
+        const ChannelProgram& prog = u.channels[static_cast<size_t>(oc)];
+        int32_t acc[L];
+        for (int j = 0; j < L; ++j) acc[j] = prog.bias;
+        for (const MacPairOp& op : prog.pairs) {
+          for (int j = 0; j < L; ++j) {
+            const int16_t* lane =
+                cols + static_cast<size_t>(j) * patch;
+            acc[j] = smlad(op.weight_const,
+                           pack_q15_pair(lane[op.operand_b],
+                                         lane[op.operand_a]),
+                           acc[j]);
+          }
+        }
+        if (prog.has_single) {
+          const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
+          for (int j = 0; j < L; ++j) {
+            const int16_t* lane =
+                cols + static_cast<size_t>(j) * patch;
+            acc[j] = smlabb(
+                wlast, pack_q15_pair(0, lane[prog.single.operand]), acc[j]);
+          }
+        }
+        for (int j = 0; j < bn; ++j) {
+          const int32_t scaled =
+              multiply_by_quantized_multiplier(acc[j], prog.requant) +
+              u.out_q.zero_point;
+          out[static_cast<size_t>(b0 + j) * out_elems + orow_off + oc] =
+              static_cast<int8_t>(std::clamp(scaled, u.act_min, u.act_max));
+        }
+      }
+    }
+  }
+}
+
+// Depthwise lanes are cols[j * patch * c + tap * c + ch]: the shared
+// per-position expansion of each image; each channel program then
+// streams once across all lanes.
+template <int L>
+void unpacked_depthwise_block(const UnpackedDepthwise& u,
+                              std::span<const int8_t> in, std::span<int8_t> out,
+                              int b0, int bn, int16_t* cols) {
+  const int c = u.channel_count;
+  const size_t in_elems = static_cast<size_t>(u.in_h) * u.in_w * c;
+  const size_t out_elems = static_cast<size_t>(u.positions()) * c;
+  const int oh = u.out_h(), ow = u.out_w();
+  const int patch = u.kernel * u.kernel;
+  const int32_t zp = u.in_q.zero_point;
+  const size_t lane_stride = static_cast<size_t>(patch) * c;
+  if (bn < L) std::fill_n(cols, L * lane_stride, int16_t{0});
+  for (int oy = 0; oy < oh; ++oy) {
+    for (int ox = 0; ox < ow; ++ox) {
+      for (int j = 0; j < bn; ++j) {
+        const int8_t* img =
+            in.data() + static_cast<size_t>(b0 + j) * in_elems;
+        int16_t* lane = cols + static_cast<size_t>(j) * lane_stride;
+        int p = 0;
+        for (int ky = 0; ky < u.kernel; ++ky) {
+          const int iy = oy * u.stride - u.pad + ky;
+          for (int kx = 0; kx < u.kernel; ++kx, ++p) {
+            const int ix = ox * u.stride - u.pad + kx;
+            const bool inside =
+                iy >= 0 && iy < u.in_h && ix >= 0 && ix < u.in_w;
+            const int8_t* src =
+                inside ? img + (static_cast<size_t>(iy) * u.in_w + ix) * c
+                       : nullptr;
+            int16_t* dst = lane + static_cast<size_t>(p) * c;
+            for (int i = 0; i < c; ++i)
+              dst[i] = static_cast<int16_t>((inside ? src[i] : zp) - zp);
+          }
+        }
+      }
+      const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
+      for (int ch = 0; ch < c; ++ch) {
+        const ChannelProgram& prog = u.channels[static_cast<size_t>(ch)];
+        int32_t acc[L];
+        for (int j = 0; j < L; ++j) acc[j] = prog.bias;
+        for (const MacPairOp& op : prog.pairs) {
+          const size_t off_a =
+              static_cast<size_t>(op.operand_a) * c + ch;
+          const size_t off_b =
+              static_cast<size_t>(op.operand_b) * c + ch;
+          for (int j = 0; j < L; ++j) {
+            const int16_t* lane =
+                cols + static_cast<size_t>(j) * lane_stride;
+            acc[j] = smlad(op.weight_const,
+                           pack_q15_pair(lane[off_b], lane[off_a]),
+                           acc[j]);
+          }
+        }
+        if (prog.has_single) {
+          const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
+          const size_t off =
+              static_cast<size_t>(prog.single.operand) * c + ch;
+          for (int j = 0; j < L; ++j) {
+            const int16_t* lane =
+                cols + static_cast<size_t>(j) * lane_stride;
+            acc[j] = smlabb(wlast, pack_q15_pair(0, lane[off]), acc[j]);
+          }
+        }
+        for (int j = 0; j < bn; ++j) {
+          const int32_t scaled =
+              multiply_by_quantized_multiplier(acc[j], prog.requant) +
+              u.out_q.zero_point;
+          out[static_cast<size_t>(b0 + j) * out_elems + orow_off + ch] =
+              static_cast<int8_t>(std::clamp(scaled, u.act_min, u.act_max));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 UnpackedConv UnpackedConv::build(const QConv2D& layer, const uint8_t* skip) {
@@ -87,152 +245,21 @@ UnpackedConv UnpackedConv::build(const QConv2D& layer, const uint8_t* skip) {
   return u;
 }
 
-void UnpackedConv::run(std::span<const int8_t> in,
-                       std::span<int8_t> out) const {
-  check(static_cast<int64_t>(in.size()) ==
-            static_cast<int64_t>(geom.in_h) * geom.in_w * geom.in_c,
+void UnpackedConv::run(std::span<const int8_t> in, std::span<int8_t> out,
+                       int batch) const {
+  check(batch >= 1, "UnpackedConv::run: batch must be >= 1");
+  check(in.size() == static_cast<size_t>(geom.in_h) * geom.in_w * geom.in_c *
+                         static_cast<size_t>(batch),
         "unpacked conv input size mismatch");
-  check(static_cast<int64_t>(out.size()) ==
-            static_cast<int64_t>(geom.positions()) * geom.out_c,
+  check(out.size() == static_cast<size_t>(geom.positions()) * geom.out_c *
+                          static_cast<size_t>(batch),
         "unpacked conv output size mismatch");
-
-  const int oh = geom.out_h(), ow = geom.out_w();
-  const int patch = geom.patch_size();
-  const int32_t zp = in_q.zero_point;
-
-  // The host interpreter materializes the zero-point-corrected patch once
-  // per position purely as a host-speed optimization; the *priced*
-  // instruction stream (cost_model::unpacked_conv_cycles) models direct
-  // activation loads with no such buffer, and the numerics are identical.
-  std::vector<int16_t> col(static_cast<size_t>(patch));
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      int idx = 0;
-      for (int ky = 0; ky < geom.kernel; ++ky) {
-        const int iy = oy * geom.stride - geom.pad + ky;
-        for (int kx = 0; kx < geom.kernel; ++kx) {
-          const int ix = ox * geom.stride - geom.pad + kx;
-          const bool inside =
-              iy >= 0 && iy < geom.in_h && ix >= 0 && ix < geom.in_w;
-          const int8_t* src =
-              inside
-                  ? in.data() + (static_cast<size_t>(iy) * geom.in_w + ix) *
-                                    geom.in_c
-                  : nullptr;
-          for (int c = 0; c < geom.in_c; ++c, ++idx)
-            col[static_cast<size_t>(idx)] =
-                static_cast<int16_t>((inside ? src[c] : zp) - zp);
-        }
-      }
-
-      int8_t* orow =
-          out.data() + (static_cast<size_t>(oy) * ow + ox) * geom.out_c;
-      for (int oc = 0; oc < geom.out_c; ++oc) {
-        const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-        int32_t acc = prog.bias;
-        for (const MacPairOp& op : prog.pairs) {
-          const uint32_t apair =
-              pack_q15_pair(col[op.operand_b], col[op.operand_a]);
-          acc = smlad(op.weight_const, apair, acc);
-        }
-        if (prog.has_single) {
-          acc = smlabb(pack_q15_pair(0, prog.single.weight),
-                       pack_q15_pair(0, col[prog.single.operand]), acc);
-        }
-        const int32_t scaled = multiply_by_quantized_multiplier(
-                                   acc, prog.requant) +
-                               out_q.zero_point;
-        orow[oc] =
-            static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-      }
-    }
-  }
-}
-
-void UnpackedConv::run_batch(std::span<const int8_t> in,
-                             std::span<int8_t> out, int batch) const {
-  check(batch >= 1, "UnpackedConv::run_batch: batch must be >= 1");
-  const size_t in_elems =
-      static_cast<size_t>(geom.in_h) * geom.in_w * geom.in_c;
-  const size_t out_elems =
-      static_cast<size_t>(geom.positions()) * geom.out_c;
-  check(in.size() == in_elems * static_cast<size_t>(batch),
-        "unpacked conv batched input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "unpacked conv batched output size mismatch");
-
-  const int oh = geom.out_h(), ow = geom.out_w();
-  const size_t patch = static_cast<size_t>(geom.patch_size());
-  const int32_t zp = in_q.zero_point;
-
-  // Lane-major column blocks (cols[j * patch + operand]): each program's
-  // hardwired weight constant is fetched once and multiplied into
-  // kBatchLanes accumulators. Lane loops run all kBatchLanes lanes at a
-  // constant trip count; ragged tails compute over the zero-filled
-  // padding lanes and discard them (SMLAD wraparound is defined).
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * patch);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int j = 0; j < bn; ++j) {
-          const int8_t* img =
-              in.data() + static_cast<size_t>(b0 + j) * in_elems;
-          int16_t* lane = cols.data() + static_cast<size_t>(j) * patch;
-          int idx = 0;
-          for (int ky = 0; ky < geom.kernel; ++ky) {
-            const int iy = oy * geom.stride - geom.pad + ky;
-            for (int kx = 0; kx < geom.kernel; ++kx) {
-              const int ix = ox * geom.stride - geom.pad + kx;
-              const bool inside =
-                  iy >= 0 && iy < geom.in_h && ix >= 0 && ix < geom.in_w;
-              const int8_t* src =
-                  inside ? img + (static_cast<size_t>(iy) * geom.in_w + ix) *
-                                     geom.in_c
-                         : nullptr;
-              for (int c = 0; c < geom.in_c; ++c, ++idx)
-                lane[idx] =
-                    static_cast<int16_t>((inside ? src[c] : zp) - zp);
-            }
-          }
-        }
-        const size_t orow_off =
-            (static_cast<size_t>(oy) * ow + ox) * geom.out_c;
-        for (int oc = 0; oc < geom.out_c; ++oc) {
-          const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-          int32_t acc[kBatchLanes];
-          for (int j = 0; j < kBatchLanes; ++j) acc[j] = prog.bias;
-          for (const MacPairOp& op : prog.pairs) {
-            for (int j = 0; j < kBatchLanes; ++j) {
-              const int16_t* lane =
-                  cols.data() + static_cast<size_t>(j) * patch;
-              acc[j] = smlad(op.weight_const,
-                             pack_q15_pair(lane[op.operand_b],
-                                           lane[op.operand_a]),
-                             acc[j]);
-            }
-          }
-          if (prog.has_single) {
-            const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
-            for (int j = 0; j < kBatchLanes; ++j) {
-              const int16_t* lane =
-                  cols.data() + static_cast<size_t>(j) * patch;
-              acc[j] = smlabb(
-                  wlast, pack_q15_pair(0, lane[prog.single.operand]), acc[j]);
-            }
-          }
-          for (int j = 0; j < bn; ++j) {
-            const int32_t scaled =
-                multiply_by_quantized_multiplier(acc[j], prog.requant) +
-                out_q.zero_point;
-            out[static_cast<size_t>(b0 + j) * out_elems + orow_off + oc] =
-                static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-          }
-        }
-      }
-    }
-  }
+  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) *
+                            static_cast<size_t>(geom.patch_size()));
+  for_each_lane_block(batch, [&](auto lanes, int b0, int bn) {
+    unpacked_conv_block<decltype(lanes)::value>(*this, in, out, b0, bn,
+                                                cols.data());
+  });
 }
 
 int64_t UnpackedDepthwise::static_pairs() const {
@@ -285,148 +312,20 @@ UnpackedDepthwise UnpackedDepthwise::build(const QDepthwiseConv2D& layer,
 }
 
 void UnpackedDepthwise::run(std::span<const int8_t> in,
-                            std::span<int8_t> out) const {
-  const int c = channel_count;
-  check(static_cast<int64_t>(in.size()) ==
-            static_cast<int64_t>(in_h) * in_w * c,
+                            std::span<int8_t> out, int batch) const {
+  check(batch >= 1, "UnpackedDepthwise::run: batch must be >= 1");
+  check(in.size() == static_cast<size_t>(in_h) * in_w * channel_count *
+                         static_cast<size_t>(batch),
         "unpacked depthwise input size mismatch");
-  check(static_cast<int64_t>(out.size()) == positions() * c,
+  check(out.size() == static_cast<size_t>(positions()) * channel_count *
+                          static_cast<size_t>(batch),
         "unpacked depthwise output size mismatch");
-
-  const int oh = out_h(), ow = out_w();
-  const int patch = kernel * kernel;
-  const int32_t zp = in_q.zero_point;
-
-  // Shared zero-point-corrected expansion per position (col[tap][ch]);
-  // the priced instruction stream models direct loads, as for conv.
-  std::vector<int16_t> col(static_cast<size_t>(patch) * c);
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      int p = 0;
-      for (int ky = 0; ky < kernel; ++ky) {
-        const int iy = oy * stride - pad + ky;
-        for (int kx = 0; kx < kernel; ++kx, ++p) {
-          const int ix = ox * stride - pad + kx;
-          const bool inside = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
-          const int8_t* src =
-              inside ? in.data() + (static_cast<size_t>(iy) * in_w + ix) * c
-                     : nullptr;
-          int16_t* dst = col.data() + static_cast<size_t>(p) * c;
-          for (int i = 0; i < c; ++i)
-            dst[i] = static_cast<int16_t>((inside ? src[i] : zp) - zp);
-        }
-      }
-
-      int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * c;
-      for (int ch = 0; ch < c; ++ch) {
-        const ChannelProgram& prog = channels[static_cast<size_t>(ch)];
-        int32_t acc = prog.bias;
-        for (const MacPairOp& op : prog.pairs) {
-          const uint32_t apair = pack_q15_pair(
-              col[static_cast<size_t>(op.operand_b) * c + ch],
-              col[static_cast<size_t>(op.operand_a) * c + ch]);
-          acc = smlad(op.weight_const, apair, acc);
-        }
-        if (prog.has_single) {
-          acc = smlabb(
-              pack_q15_pair(0, prog.single.weight),
-              pack_q15_pair(
-                  0, col[static_cast<size_t>(prog.single.operand) * c + ch]),
-              acc);
-        }
-        const int32_t scaled = multiply_by_quantized_multiplier(
-                                   acc, prog.requant) +
-                               out_q.zero_point;
-        orow[ch] =
-            static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-      }
-    }
-  }
-}
-
-void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
-                                  std::span<int8_t> out, int batch) const {
-  check(batch >= 1, "UnpackedDepthwise::run_batch: batch must be >= 1");
-  const int c = channel_count;
-  const size_t in_elems = static_cast<size_t>(in_h) * in_w * c;
-  const size_t out_elems = static_cast<size_t>(positions()) * c;
-  check(in.size() == in_elems * static_cast<size_t>(batch),
-        "unpacked depthwise batched input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "unpacked depthwise batched output size mismatch");
-
-  const int oh = out_h(), ow = out_w();
-  const int patch = kernel * kernel;
-  const int32_t zp = in_q.zero_point;
-  const size_t lane_stride = static_cast<size_t>(patch) * c;
-
-  // cols[j * patch * c + tap * c + ch]: shared per-position expansion per
-  // lane; each channel program then streams once across all lanes.
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * lane_stride);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
-        for (int j = 0; j < bn; ++j) {
-          const int8_t* img =
-              in.data() + static_cast<size_t>(b0 + j) * in_elems;
-          int16_t* lane = cols.data() + static_cast<size_t>(j) * lane_stride;
-          int p = 0;
-          for (int ky = 0; ky < kernel; ++ky) {
-            const int iy = oy * stride - pad + ky;
-            for (int kx = 0; kx < kernel; ++kx, ++p) {
-              const int ix = ox * stride - pad + kx;
-              const bool inside =
-                  iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
-              const int8_t* src =
-                  inside ? img + (static_cast<size_t>(iy) * in_w + ix) * c
-                         : nullptr;
-              int16_t* dst = lane + static_cast<size_t>(p) * c;
-              for (int i = 0; i < c; ++i)
-                dst[i] = static_cast<int16_t>((inside ? src[i] : zp) - zp);
-            }
-          }
-        }
-        const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
-        for (int ch = 0; ch < c; ++ch) {
-          const ChannelProgram& prog = channels[static_cast<size_t>(ch)];
-          int32_t acc[kBatchLanes];
-          for (int j = 0; j < kBatchLanes; ++j) acc[j] = prog.bias;
-          for (const MacPairOp& op : prog.pairs) {
-            const size_t off_a =
-                static_cast<size_t>(op.operand_a) * c + ch;
-            const size_t off_b =
-                static_cast<size_t>(op.operand_b) * c + ch;
-            for (int j = 0; j < kBatchLanes; ++j) {
-              const int16_t* lane =
-                  cols.data() + static_cast<size_t>(j) * lane_stride;
-              acc[j] = smlad(op.weight_const,
-                             pack_q15_pair(lane[off_b], lane[off_a]),
-                             acc[j]);
-            }
-          }
-          if (prog.has_single) {
-            const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
-            const size_t off =
-                static_cast<size_t>(prog.single.operand) * c + ch;
-            for (int j = 0; j < kBatchLanes; ++j) {
-              const int16_t* lane =
-                  cols.data() + static_cast<size_t>(j) * lane_stride;
-              acc[j] = smlabb(wlast, pack_q15_pair(0, lane[off]), acc[j]);
-            }
-          }
-          for (int j = 0; j < bn; ++j) {
-            const int32_t scaled =
-                multiply_by_quantized_multiplier(acc[j], prog.requant) +
-                out_q.zero_point;
-            out[static_cast<size_t>(b0 + j) * out_elems + orow_off + ch] =
-                static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-          }
-        }
-      }
-    }
-  }
+  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * kernel *
+                            kernel * channel_count);
+  for_each_lane_block(batch, [&](auto lanes, int b0, int bn) {
+    unpacked_depthwise_block<decltype(lanes)::value>(*this, in, out, b0, bn,
+                                                     cols.data());
+  });
 }
 
 }  // namespace ataman

@@ -67,17 +67,15 @@ struct UnpackedConv {
   static UnpackedConv build(const QConv2D& layer,
                             const uint8_t* skip = nullptr);
 
-  // Execute for one input feature map. Bit-exact with conv2d_ref under
-  // the same skip mask (tests assert this).
-  void run(std::span<const int8_t> in, std::span<int8_t> out) const;
-
-  // Batched execution: `in`/`out` are contiguous batches (image b at
+  // Execute over `batch` contiguous input feature maps (image b at
   // b * in_elems / b * out_elems). Each channel program is streamed once
-  // per lane-block of kBatchLanes images (its hardwired weight constants
-  // multiply into one accumulator per lane) instead of once per image.
-  // Bitwise identical to per-image run().
-  void run_batch(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch) const;
+  // per lane-block (see packed_kernels.hpp: full blocks run kBatchLanes
+  // lanes, a single-image block one lane), its hardwired weight
+  // constants multiplying into one accumulator per lane. Bit-exact with
+  // conv2d_ref under the same skip mask, for every batch size (tests
+  // assert this).
+  void run(std::span<const int8_t> in, std::span<int8_t> out,
+           int batch) const;
 };
 
 // Unpacked depthwise convolution: one straight-line program per channel
@@ -107,12 +105,10 @@ struct UnpackedDepthwise {
   static UnpackedDepthwise build(const QDepthwiseConv2D& layer,
                                  const uint8_t* skip = nullptr);
 
-  // Bit-exact with depthwise_conv2d_ref under the same skip mask.
-  void run(std::span<const int8_t> in, std::span<int8_t> out) const;
-
-  // Batched execution over contiguous batches; see UnpackedConv::run_batch.
-  void run_batch(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch) const;
+  // Batched execution as UnpackedConv::run. Bit-exact with
+  // depthwise_conv2d_ref under the same skip mask.
+  void run(std::span<const int8_t> in, std::span<int8_t> out,
+           int batch) const;
 };
 
 }  // namespace ataman

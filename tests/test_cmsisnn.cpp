@@ -94,7 +94,7 @@ TEST_P(PackedConvShapes, BitExactVsReference) {
   std::vector<int8_t> want(static_cast<size_t>(g.positions()) * g.out_c);
   std::vector<int8_t> got(want.size());
   conv2d_ref(conv, in, want);
-  packed_conv2d(conv, packed, in, got);
+  packed_conv2d(conv, packed, in, got, 1);
   EXPECT_EQ(want, got);
 }
 
@@ -116,7 +116,7 @@ TEST(PackedDense, BitExactVsReference) {
     const auto in = make_random_input(in_dim, 301 + in_dim);
     std::vector<int8_t> want(7), got(7);
     dense_ref(fc, in, want);
-    packed_dense(fc, packed, in, got);
+    packed_dense(fc, packed, in, got, 1);
     EXPECT_EQ(want, got) << "in_dim=" << in_dim;
   }
 }
@@ -147,6 +147,18 @@ TEST(CmsisEngine, CycleProfileCoversAllLayers) {
   EXPECT_EQ(pools, 1);
   EXPECT_EQ(fcs, 1);
   EXPECT_EQ(sum, engine.total_cycles());
+  EXPECT_EQ(sum, packed_model_cycles(m));
+
+  // Fractional dispatch and softmax constants: the profile rows, the
+  // engine total and the cost-model total must still agree exactly.
+  CortexM33CostTable fractional;
+  fractional.layer_dispatch = 400.5;
+  fractional.softmax_per_logit = 30.3;
+  CmsisEngine priced(&m, fractional);
+  int64_t priced_sum = 0;
+  for (const LayerProfile& p : priced.layer_profile()) priced_sum += p.cycles;
+  EXPECT_EQ(priced_sum, priced.total_cycles());
+  EXPECT_EQ(priced_sum, packed_model_cycles(m, fractional));
 }
 
 TEST(CmsisEngine, DeployReportIsConsistent) {

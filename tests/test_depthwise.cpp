@@ -43,8 +43,8 @@ TEST(Depthwise, PackedAndUnpackedMatchReference) {
     std::vector<int8_t> unpacked_out(ref_out.size());
 
     depthwise_conv2d_ref(dw, in, ref_out);
-    packed_depthwise_conv2d(dw, in, packed_out);
-    UnpackedDepthwise::build(dw).run(in, unpacked_out);
+    packed_depthwise_conv2d(dw, in, packed_out, 1);
+    UnpackedDepthwise::build(dw).run(in, unpacked_out, 1);
     EXPECT_EQ(ref_out, packed_out) << "seed " << seed;
     EXPECT_EQ(ref_out, unpacked_out) << "seed " << seed;
   }
@@ -60,7 +60,7 @@ TEST(Depthwise, StrideAndNoPadGeometry) {
   std::vector<int8_t> a(static_cast<size_t>(dw.positions()) * dw.channels);
   std::vector<int8_t> b(a.size());
   depthwise_conv2d_ref(dw, in, a);
-  packed_depthwise_conv2d(dw, in, b);
+  packed_depthwise_conv2d(dw, in, b, 1);
   EXPECT_EQ(a, b);
 }
 
@@ -92,7 +92,7 @@ TEST(Depthwise, SkipMaskSemantics) {
   std::vector<int8_t> unpacked(masked.size());
   std::vector<int8_t> zeroed_out(masked.size());
   depthwise_conv2d_ref(dw, in, masked, skip.data());
-  UnpackedDepthwise::build(dw, skip.data()).run(in, unpacked);
+  UnpackedDepthwise::build(dw, skip.data()).run(in, unpacked, 1);
   depthwise_conv2d_ref(zeroed, in, zeroed_out);
   EXPECT_EQ(masked, unpacked);
   EXPECT_EQ(masked, zeroed_out);

@@ -29,7 +29,7 @@ TEST(EdgeCases, ConvOutputCollapsesToSinglePixel) {
   const auto in = make_random_input(3 * 3 * 2, 2);
   std::vector<int8_t> a(4), b(4);
   conv2d_ref(conv, in, a);
-  UnpackedConv::build(conv).run(in, b);
+  UnpackedConv::build(conv).run(in, b, 1);
   EXPECT_EQ(a, b);
 }
 
@@ -44,7 +44,7 @@ TEST(EdgeCases, StrideLargerThanKernel) {
   conv2d_ref(conv, in, a);
   const PackedWeights packed =
       PackedWeights::pack(conv.weights, g.out_c, g.patch_size());
-  packed_conv2d(conv, packed, in, b);
+  packed_conv2d(conv, packed, in, b, 1);
   EXPECT_EQ(a, b);
 }
 
@@ -58,7 +58,7 @@ TEST(EdgeCases, PaddingLargerThanKernelReach) {
   std::vector<int8_t> a(static_cast<size_t>(g.positions()) * 3);
   std::vector<int8_t> b(a.size());
   conv2d_ref(conv, in, a);
-  UnpackedConv::build(conv).run(in, b);
+  UnpackedConv::build(conv).run(in, b, 1);
   EXPECT_EQ(a, b);
 }
 
@@ -143,7 +143,7 @@ TEST(EdgeCases, SingleChannelSingleOperandLayer) {
   const auto in = make_random_input(16, 11);
   std::vector<int8_t> a(16), b(16);
   conv2d_ref(conv, in, a);
-  u.run(in, b);
+  u.run(in, b, 1);
   EXPECT_EQ(a, b);
 }
 
@@ -160,7 +160,7 @@ TEST(EdgeCases, MaskAllOperandsOfOneChannelOnly) {
   std::vector<int8_t> a(static_cast<size_t>(g.positions()) * 3);
   std::vector<int8_t> b(a.size());
   conv2d_ref(conv, in, a, skip.data());
-  UnpackedConv::build(conv, skip.data()).run(in, b);
+  UnpackedConv::build(conv, skip.data()).run(in, b, 1);
   EXPECT_EQ(a, b);
   // Channels 0 and 2 must be unaffected vs the fully exact run.
   std::vector<int8_t> exact(a.size());

@@ -353,15 +353,16 @@ TEST(EngineDiffFuzz, ExactParityMaskedParityAndCostMonotonicity) {
 }
 
 // Batch-parity dimension: for random models, random tau-derived skip
-// masks and batch sizes {1, 2, 3, 7, 16}, run_batch logits must be
+// masks and batch sizes {1, 2, 3, 5, 7, 16}, run_batch logits must be
 // bitwise equal to per-image run() on every backend — the engines with a
 // real batch-amortized path (supports_run_batch()) and the fallback-loop
 // engines alike. Batches draw from a small image pool, so they contain
 // duplicate images, and the non-multiple-of-kBatchLanes sizes exercise
-// ragged final lane-blocks.
+// ragged final lane-blocks; 5 is a full block followed by a single-image
+// (1-lane) block.
 TEST(EngineDiffFuzz, BatchParityAcrossEnginesAndBatchSizes) {
   const uint64_t base = base_seed();
-  const int batch_sizes[] = {1, 2, 3, 7, 16};
+  const int batch_sizes[] = {1, 2, 3, 5, 7, 16};
   constexpr int kPoolImages = 5;  // < max batch -> guaranteed duplicates
 
   for (int iter = 0; iter < kModels; ++iter) {

@@ -42,7 +42,7 @@ TEST_P(UnpackShapes, BitExactVsMaskedReference) {
   std::vector<int8_t> want(static_cast<size_t>(g.positions()) * g.out_c);
   std::vector<int8_t> got(want.size());
   conv2d_ref(conv, in, want, skip_ptr);
-  u.run(in, got);
+  u.run(in, got, 1);
   EXPECT_EQ(want, got);
 }
 
@@ -115,7 +115,7 @@ TEST(UnpackedConv, FullSkipYieldsBiasOnly) {
 
   const auto in = make_random_input(4 * 4 * 2, 9);
   std::vector<int8_t> out(static_cast<size_t>(g.positions()) * g.out_c);
-  u.run(in, out);
+  u.run(in, out, 1);
   // Every position of a channel outputs requant(bias).
   for (int oc = 0; oc < g.out_c; ++oc)
     for (int pos = 1; pos < g.positions(); ++pos)
