@@ -71,7 +71,8 @@ void BM_ConvUnpacked(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_mcu_cycles"] = static_cast<double>(
-      unpacked_conv_cycles(conv, u.static_pairs(), u.static_singles()));
+      unpacked_op_cycles(describe_layer(conv), u.static_pairs(),
+                         u.static_singles(), conv.geom.positions()));
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());
 }
 BENCHMARK(BM_ConvUnpacked)->Arg(0)->Arg(25)->Arg(50)->Arg(75);
@@ -191,7 +192,8 @@ void BM_DepthwiseUnpacked(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_mcu_cycles"] = static_cast<double>(
-      unpacked_depthwise_cycles(dw, u.static_pairs(), u.static_singles()));
+      unpacked_op_cycles(describe_layer(dw), u.static_pairs(),
+                         u.static_singles(), dw.positions()));
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());
 }
 BENCHMARK(BM_DepthwiseUnpacked)->Arg(0)->Arg(25)->Arg(50)->Arg(75);

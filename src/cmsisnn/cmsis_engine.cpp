@@ -10,7 +10,7 @@ CmsisEngine::CmsisEngine(const QModel* model, CortexM33CostTable costs,
       memory_(memory),
       exec_(*model),
       packed_(model->layers.size()),
-      profile_(packed_layer_profile(*model, costs)),
+      profile_(deployment_profile(*model, {}, {}, costs)),
       total_cycles_(sum_profile_cycles(profile_)) {
   // Offline weight packing for conv and fc. Depthwise runs the scalar
   // loop kernel and needs no packed stream (see packed_depthwise_conv2d).

@@ -58,7 +58,7 @@ class CmsisEngine : public InferenceEngine {
   MemoryCostTable memory_;
   PlanExecutor exec_;
   std::vector<PackedWeights> packed_;  // by layer; conv and fc only
-  std::vector<LayerProfile> profile_;  // packed_layer_profile
+  std::vector<LayerProfile> profile_;  // all-packed deployment_profile
   int64_t total_cycles_ = 0;
 };
 

@@ -46,15 +46,6 @@ struct DseResult {
   double stream_energy_mj_per_frame = 0.0;
 };
 
-// Static (per-layer) unpacking statistics induced by a skip mask.
-struct UnpackStats {
-  std::vector<int64_t> static_pairs;    // by approximable-layer ordinal
-  std::vector<int64_t> static_singles;  // by approximable-layer ordinal
-  int64_t retained_conv_macs = 0;       // dynamic, per inference
-};
-
-UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask);
-
 class ConfigEvaluator {
  public:
   // `eval` must outlive the evaluator. `eval_images` caps accuracy

@@ -1,6 +1,7 @@
 #include "src/mcu/cost_model.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/mcu/stream_plan.hpp"
@@ -36,43 +37,12 @@ int64_t packed_conv_cycles(const QConv2D& layer, const CortexM33CostTable& t) {
   return static_cast<int64_t>(std::llround(cycles));
 }
 
-int64_t unpacked_conv_cycles(const QConv2D& layer, int64_t static_pairs,
-                             int64_t static_singles,
-                             const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  const int64_t positions = layer.geom.positions();
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair * static_cast<double>(static_pairs * positions);
-  cycles +=
-      t.unpacked_per_single * static_cast<double>(static_singles * positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(positions * layer.geom.out_c);
-  return static_cast<int64_t>(std::llround(cycles));
-}
-
 int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
                                 const CortexM33CostTable& t) {
   double cycles =
       t.packed_depthwise_per_mac * static_cast<double>(layer.macs());
   cycles += t.packed_chan_epilogue *
             static_cast<double>(layer.positions()) * layer.channels;
-  return static_cast<int64_t>(std::llround(cycles));
-}
-
-int64_t unpacked_depthwise_cycles(const QDepthwiseConv2D& layer,
-                                  int64_t static_pairs,
-                                  int64_t static_singles,
-                                  const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  const int64_t positions = layer.positions();
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair * static_cast<double>(static_pairs * positions);
-  cycles +=
-      t.unpacked_per_single * static_cast<double>(static_singles * positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(positions * layer.channels);
   return static_cast<int64_t>(std::llround(cycles));
 }
 
@@ -110,32 +80,100 @@ int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t) {
       std::llround(t.qadd_per_elem * static_cast<double>(layer.elems())));
 }
 
-std::vector<LayerProfile> packed_layer_profile(const QModel& model,
-                                               const CortexM33CostTable& t) {
-  const auto dispatch = static_cast<int64_t>(std::llround(t.layer_dispatch));
+int64_t unpacked_op_cycles(const OpDescriptor& op, int64_t static_pairs,
+                           int64_t static_singles,
+                           int64_t recomputed_positions,
+                           const CortexM33CostTable& t) {
+  check(static_pairs >= 0 && static_singles >= 0,
+        "negative retained op counts");
+  check(recomputed_positions >= 0 && recomputed_positions <= op.positions,
+        "recomputed positions out of range");
+  double cycles = t.unpacked_layer_setup;
+  cycles += t.unpacked_per_pair *
+            static_cast<double>(static_pairs * recomputed_positions);
+  cycles += t.unpacked_per_single *
+            static_cast<double>(static_singles * recomputed_positions);
+  cycles += t.unpacked_chan_epilogue *
+            static_cast<double>(recomputed_positions * op.channels);
+  return static_cast<int64_t>(std::llround(cycles));
+}
+
+std::vector<LayerProfile> deployment_profile(
+    const QModel& model, std::span<const int64_t> static_pairs,
+    std::span<const int64_t> static_singles, const CortexM33CostTable& t,
+    const StreamPlan* stream) {
+  check(static_pairs.size() == static_singles.size(),
+        "pair/single vectors must align");
+  check(static_pairs.empty() ||
+            static_cast<int>(static_pairs.size()) ==
+                model.approx_layer_count(),
+        "one pair count per approximable layer required");
+  check(stream == nullptr || stream->layers.size() == model.layers.size(),
+        "stream plan does not match the model");
   std::vector<LayerProfile> rows;
+  rows.reserve(model.layers.size() + 1);
+  size_t ordinal = 0;
   int out_dim = 0;
-  for (const QLayer& layer : model.layers) {
-    rows.push_back({"dispatch", dispatch, 0});
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      rows.push_back({"conv", packed_conv_cycles(*conv, t), conv->geom.macs()});
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      rows.push_back(
-          {"depthwise", packed_depthwise_cycles(*dw, t), dw->macs()});
+  for (size_t l = 0; l < model.layers.size(); ++l) {
+    const QLayer& layer = model.layers[l];
+    const StreamLayerPlan* lp =
+        stream != nullptr ? &stream->layers[l] : nullptr;
+    LayerProfile row;
+    double cycles = t.layer_dispatch;
+    if (const OpDescriptor d = describe_layer(layer); d.skippable) {
+      const int64_t positions =
+          lp != nullptr ? lp->recomputed_positions : d.positions;
+      const int64_t pairs =
+          static_pairs.empty() ? -1 : static_pairs[ordinal];
+      row.kind = d.kind == OpKind::kConv ? "conv" : "depthwise";
+      if (pairs >= 0) {
+        const int64_t singles = static_singles[ordinal];
+        row.kind += "(unpacked)";
+        cycles = static_cast<double>(
+            unpacked_op_cycles(d, pairs, singles, positions, t));
+        row.macs = (2 * pairs + singles) * positions;
+      } else {
+        const auto* conv = std::get_if<QConv2D>(&layer);
+        double kernel = static_cast<double>(
+            conv != nullptr
+                ? packed_conv_cycles(*conv, t)
+                : packed_depthwise_cycles(std::get<QDepthwiseConv2D>(layer),
+                                          t));
+        // Every packed term (im2col, MACs, epilogue) is proportional to
+        // output positions.
+        if (positions != d.positions)
+          kernel = kernel * static_cast<double>(positions) /
+                   static_cast<double>(d.positions);
+        cycles += kernel;
+        row.macs = d.skippable_operand_count() * positions;
+      }
+      ++ordinal;
     } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      rows.push_back({"pool", pool_cycles(*pool, t), 0});
+      row.kind = "pool";
+      cycles += static_cast<double>(pool_cycles(*pool, t));
     } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      rows.push_back({"avgpool", avgpool_cycles(*pool, t), 0});
+      row.kind = "avgpool";
+      cycles += static_cast<double>(avgpool_cycles(*pool, t));
     } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      rows.push_back({"fc", dense_cycles(*fc, t), fc->macs()});
+      row.kind = "fc";
+      cycles += static_cast<double>(dense_cycles(*fc, t));
+      row.macs = fc->macs();
       out_dim = fc->out_dim;
     } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      rows.push_back({"add", qadd_cycles(*add, t), 0});
+      row.kind = "add";
+      cycles += static_cast<double>(qadd_cycles(*add, t));
     }
+    if (lp != nullptr && lp->spliced) {
+      cycles += t.stream_splice_per_elem *
+                static_cast<double>(lp->splice_hi - lp->splice_lo) *
+                static_cast<double>(lp->out_rows) * lp->out_ch;
+    }
+    row.cycles = static_cast<int64_t>(std::llround(cycles));
+    rows.push_back(std::move(row));
   }
   rows.push_back({"softmax",
-                  static_cast<int64_t>(std::llround(t.softmax_per_logit *
-                                                    out_dim)),
+                  static_cast<int64_t>(
+                      std::llround(t.softmax_per_logit * out_dim)),
                   0});
   return rows;
 }
@@ -147,26 +185,7 @@ int64_t sum_profile_cycles(const std::vector<LayerProfile>& profile) {
 }
 
 int64_t packed_model_cycles(const QModel& model, const CortexM33CostTable& t) {
-  return sum_profile_cycles(packed_layer_profile(model, t));
-}
-
-BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,
-                                            const CortexM33CostTable& t) {
-  check(batch >= 1, "batched_packed_model_cycles: batch must be >= 1");
-  const int64_t single = packed_model_cycles(model, t);
-  const int64_t dispatch_per_image = static_cast<int64_t>(std::llround(
-      t.layer_dispatch * static_cast<double>(model.layers.size())));
-  // Kernel work scales linearly with the batch; dispatch is paid once per
-  // (layer, batch) instead of once per (layer, image).
-  BatchedCycleRow row;
-  row.batch = batch;
-  row.amortized_dispatch =
-      dispatch_per_image * static_cast<int64_t>(batch - 1);
-  row.total_cycles =
-      single * static_cast<int64_t>(batch) - row.amortized_dispatch;
-  row.per_image_cycles = static_cast<double>(row.total_cycles) /
-                         static_cast<double>(batch);
-  return row;
+  return sum_profile_cycles(deployment_profile(model, {}, {}, t));
 }
 
 StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
@@ -174,87 +193,14 @@ StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
   const StreamPlan plan = plan_stream_steady(model, stride_cols);
   StreamingCostRow row;
   row.stride_cols = stride_cols;
+  row.cycles_per_frame =
+      sum_profile_cycles(deployment_profile(model, {}, {}, t, &plan));
   row.full_cycles = packed_model_cycles(model, t);
   row.macs_per_frame = plan.frame_macs;
   row.full_macs = plan.full_macs;
   row.spliced_elems = plan.spliced_elems;
   row.reuse_ratio = plan.reuse_ratio();
-
-  double total = 0.0;
-  int out_dim = 0;
-  for (size_t l = 0; l < model.layers.size(); ++l) {
-    const QLayer& layer = model.layers[l];
-    const StreamLayerPlan& lp = plan.layers[l];
-    total += t.layer_dispatch;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      // Every packed-conv term (im2col, MACs, epilogue) is proportional
-      // to output positions, so the streamed layer scales by the
-      // recomputed fraction of the plan.
-      total += static_cast<double>(packed_conv_cycles(*conv, t)) *
-               static_cast<double>(lp.recomputed_positions) /
-               static_cast<double>(lp.total_positions);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      total += static_cast<double>(packed_depthwise_cycles(*dw, t)) *
-               static_cast<double>(lp.recomputed_positions) /
-               static_cast<double>(lp.total_positions);
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      total += static_cast<double>(pool_cycles(*pool, t));
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      total += static_cast<double>(avgpool_cycles(*pool, t));
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      total += static_cast<double>(dense_cycles(*fc, t));
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      total += static_cast<double>(qadd_cycles(*add, t));
-    }
-    if (lp.spliced) {
-      total += t.stream_splice_per_elem *
-               static_cast<double>(lp.splice_hi - lp.splice_lo) *
-               static_cast<double>(lp.out_rows) * lp.out_ch;
-    }
-  }
-  total += t.softmax_per_logit * out_dim;
-  row.cycles_per_frame = static_cast<int64_t>(std::llround(total));
   return row;
-}
-
-int64_t unpacked_conv_stream_cycles(const QConv2D& layer, int64_t static_pairs,
-                                    int64_t static_singles,
-                                    int64_t recomputed_positions,
-                                    const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  check(recomputed_positions >= 0 &&
-            recomputed_positions <= layer.geom.positions(),
-        "recomputed positions out of range");
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair *
-            static_cast<double>(static_pairs * recomputed_positions);
-  cycles += t.unpacked_per_single *
-            static_cast<double>(static_singles * recomputed_positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(recomputed_positions * layer.geom.out_c);
-  return static_cast<int64_t>(std::llround(cycles));
-}
-
-int64_t unpacked_depthwise_stream_cycles(const QDepthwiseConv2D& layer,
-                                         int64_t static_pairs,
-                                         int64_t static_singles,
-                                         int64_t recomputed_positions,
-                                         const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  check(recomputed_positions >= 0 &&
-            recomputed_positions <= layer.positions(),
-        "recomputed positions out of range");
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair *
-            static_cast<double>(static_pairs * recomputed_positions);
-  cycles += t.unpacked_per_single *
-            static_cast<double>(static_singles * recomputed_positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(recomputed_positions * layer.channels);
-  return static_cast<int64_t>(std::llround(cycles));
 }
 
 void attach_streaming_row(DeployReport& report, const QModel& model,

@@ -35,17 +35,22 @@
 //
 // 3. Packed fully-connected / pooling / softmax, common to all engines.
 //
-// All constants live in CortexM33CostTable; change one place to re-price
-// every engine, bench and report.
+// All constants live in CortexM33CostTable, and one walk over the layers
+// (deployment_profile, below) turns them into per-layer cycle rows for
+// packed, unpacked, hybrid and streaming deployments alike: change one
+// place to re-price every engine, bench and report.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/mcu/deploy_report.hpp"
 #include "src/quant/qtypes.hpp"
 
 namespace ataman {
+
+struct StreamPlan;
 
 struct CortexM33CostTable {
   // -- shared --
@@ -104,29 +109,31 @@ struct CortexM33CostTable {
 // True when the layer qualifies for the CMSIS fast (dual-SMLAD) path.
 bool packed_conv_uses_fast_path(const QConv2D& layer);
 
-// Cycle counts -----------------------------------------------------------
+// Kernel cycles ----------------------------------------------------------
+//
+// One function per kernel family, each rounded to whole cycles. None of
+// them adds `layer_dispatch`: the cost walk below decides which rows pay
+// it.
 
 int64_t packed_conv_cycles(const QConv2D& layer,
                            const CortexM33CostTable& t = {});
-
-// `static_pairs`/`static_singles`: retained SMLAD pairs / leftover single
-// MACs summed over all output channels of this layer (static code, reused
-// at every output position).
-int64_t unpacked_conv_cycles(const QConv2D& layer, int64_t static_pairs,
-                             int64_t static_singles,
-                             const CortexM33CostTable& t = {});
 
 // Packed (loop-kernel) depthwise convolution.
 int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
                                 const CortexM33CostTable& t = {});
 
-// Unpacked depthwise convolution: per-channel straight-line tap programs
-// (same instruction shape as unpacked conv; operand pairs come from one
-// channel's k*k taps).
-int64_t unpacked_depthwise_cycles(const QDepthwiseConv2D& layer,
-                                  int64_t static_pairs,
-                                  int64_t static_singles,
-                                  const CortexM33CostTable& t = {});
+// Unpacked conv or depthwise (`op` from describe_layer): per-channel
+// straight-line programs. `static_pairs`/`static_singles` are the
+// retained SMLAD pairs / leftover single MACs summed over the layer's
+// channels (static code, reused at every output position). The pair,
+// single and epilogue terms run at `recomputed_positions` output
+// positions (`op.positions` for a whole frame, fewer under a streaming
+// splice plan); `unpacked_layer_setup` is paid once either way. Throws
+// on negative counts or positions outside [0, op.positions].
+int64_t unpacked_op_cycles(const OpDescriptor& op, int64_t static_pairs,
+                           int64_t static_singles,
+                           int64_t recomputed_positions,
+                           const CortexM33CostTable& t = {});
 
 int64_t dense_cycles(const QDense& layer, const CortexM33CostTable& t = {});
 
@@ -139,45 +146,58 @@ int64_t avgpool_cycles(const QAvgPool& layer,
 // engine; never approximated, never unpacked).
 int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t = {});
 
-// Per-layer cycle rows of the packed (exact CMSIS-like) engine: a
-// "dispatch" row and the kernel row for each layer, then the final
-// "softmax" row. Every row is rounded to whole cycles.
-std::vector<LayerProfile> packed_layer_profile(
-    const QModel& model, const CortexM33CostTable& t = {});
+// The cost walk ----------------------------------------------------------
+//
+// The one place a deployment priced with CortexM33CostTable becomes
+// cycles: the cmsis and unpacked engines, the DSE's static metrics, the
+// hybrid layer selection and the streaming row all read its rows. It
+// returns one row per layer, in layer order, then a final "softmax" row
+// (`softmax_per_logit` x the last dense layer's width). Every row is
+// rounded to whole cycles, and every total is sum_profile_cycles of the
+// rows, so a profile and its total cannot disagree.
+//
+// Which approximable layers are unpacked comes from `static_pairs` /
+// `static_singles`, indexed by approximable-layer ordinal: a negative
+// pair count keeps that layer packed (the unpacked_flash convention),
+// and empty spans keep every layer packed. Otherwise both must hold
+// QModel::approx_layer_count() entries.
+//
+// Row contents:
+//   * packed layer: `layer_dispatch` + its kernel. Kinds "conv",
+//     "depthwise", "pool", "avgpool", "fc", "add".
+//   * unpacked layer: unpacked_op_cycles alone — the customized runtime's
+//     `unpacked_layer_setup` replaces dispatch. Kinds "conv(unpacked)",
+//     "depthwise(unpacked)".
+//   * `macs`: MACs the row executes (retained ones for unpacked rows).
+//
+// With `stream` set (a plan of plan_stream/plan_stream_steady for this
+// model), each conv/depthwise row prices only the plan's
+// `recomputed_positions` — every packed term and the unpacked pair,
+// single and epilogue terms are proportional to output positions — and a
+// spliced layer's row adds its band copy at `stream_splice_per_elem`.
+// Pools, dense, QAdd, dispatch and softmax recompute in full.
+//
+// A new operator adds one case here. XCubeEngine prices a different
+// runtime with its own table (src/xcube) and keeps its own walk.
+std::vector<LayerProfile> deployment_profile(
+    const QModel& model, std::span<const int64_t> static_pairs,
+    std::span<const int64_t> static_singles,
+    const CortexM33CostTable& t = {}, const StreamPlan* stream = nullptr);
 
 // Sum of the cycle column of a profile.
 int64_t sum_profile_cycles(const std::vector<LayerProfile>& profile);
 
-// Whole-model cycles for the packed engine: the sum of
-// packed_layer_profile, so the profile and the total always agree.
+// Whole-model cycles of the packed (exact CMSIS-like) deployment: the sum
+// of its all-packed deployment_profile.
 int64_t packed_model_cycles(const QModel& model,
                             const CortexM33CostTable& t = {});
 
-// Batched-execution accounting row for the packed engine. On the modeled
-// MCU (in-order, no cache) per-image kernel cycles are a pure function of
-// the layer geometry and do not change with batch size — which is why
-// engine total_cycles() stays batch-invariant. What a batch does amortize
-// is the per-layer runtime dispatch: one call/setup per (layer, batch)
-// instead of per (layer, image). `total_cycles` prices a whole batch;
-// `per_image_cycles` is the amortized figure (non-increasing in `batch`,
-// equal to packed_model_cycles at batch == 1).
-struct BatchedCycleRow {
-  int batch = 1;
-  int64_t total_cycles = 0;        // whole-batch cycles
-  double per_image_cycles = 0.0;   // total_cycles / batch
-  int64_t amortized_dispatch = 0;  // dispatch cycles saved vs serial runs
-};
-
-BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,
-                                            const CortexM33CostTable& t = {});
-
 // Streaming (temporal reuse) ---------------------------------------------
 //
-// Steady-state per-frame cost of serving overlapping windows that
-// advance `stride_cols` input columns per frame, with the splice plan of
-// src/mcu/stream_plan.hpp applied: conv/depthwise position-proportional
-// terms scale to the recomputed positions, spliced elements pay the copy
-// rate, and pools / dense / QAdd / dispatch / softmax recompute in full.
+// Steady-state per-frame cost of the packed deployment serving
+// overlapping windows that advance `stride_cols` input columns per frame:
+// the all-packed deployment_profile priced under
+// plan_stream_steady(model, stride_cols).
 
 struct StreamingCostRow {
   int stride_cols = 0;
@@ -191,22 +211,6 @@ struct StreamingCostRow {
 
 StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
                                           const CortexM33CostTable& t = {});
-
-// Streaming variants of the unpacked kernels (per-config DSE pricing):
-// the position-proportional pair/single/epilogue terms scale to
-// `recomputed_positions` of the steady-state plan; the per-layer setup
-// is paid in full every frame. Splice copy cycles are charged separately
-// by the caller (they depend on the plan's band, not the mask).
-int64_t unpacked_conv_stream_cycles(const QConv2D& layer, int64_t static_pairs,
-                                    int64_t static_singles,
-                                    int64_t recomputed_positions,
-                                    const CortexM33CostTable& t = {});
-
-int64_t unpacked_depthwise_stream_cycles(const QDepthwiseConv2D& layer,
-                                         int64_t static_pairs,
-                                         int64_t static_singles,
-                                         int64_t recomputed_positions,
-                                         const CortexM33CostTable& t = {});
 
 // Fill the DeployReport steady-state streaming row (stride, cycles,
 // latency, energy-per-frame from `board`, reuse ratio) for `model`

@@ -10,7 +10,10 @@
 namespace ataman {
 
 struct LayerProfile {
-  std::string kind;      // "conv", "pool", "fc", "softmax", "dispatch"
+  // One row per layer, then "softmax" (see deployment_profile):
+  // "conv", "depthwise", "pool", "avgpool", "fc", "add", with an
+  // "(unpacked)" suffix on unpacked conv/depthwise rows.
+  std::string kind;
   int64_t cycles = 0;
   int64_t macs = 0;
 };

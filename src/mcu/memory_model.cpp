@@ -16,6 +16,26 @@ FlashReport packed_flash(const QModel& model, const MemoryCostTable& t) {
   return r;
 }
 
+FlashReport approx_layer_flash(const OpDescriptor& op, int64_t static_pairs,
+                               int64_t static_singles,
+                               const MemoryCostTable& t) {
+  FlashReport r;
+  // Biases remain data either way (the unpacked per-channel prologue
+  // loads them).
+  r.weight_bytes = static_cast<int64_t>(op.channels) * 4;
+  if (static_pairs >= 0) {
+    r.unpacked_code_bytes = t.unpacked_bytes_per_layer +
+                            t.unpacked_bytes_per_channel * op.channels +
+                            t.unpacked_bytes_per_pair * static_pairs +
+                            t.unpacked_bytes_per_single * static_singles;
+  } else {
+    r.weight_bytes += op.skippable_operand_count();
+    r.code_bytes = t.per_layer_descriptor;
+  }
+  r.total_bytes = r.code_bytes + r.weight_bytes + r.unpacked_code_bytes;
+  return r;
+}
+
 FlashReport unpacked_flash(const QModel& model,
                            const std::vector<int64_t>& static_pairs,
                            const std::vector<int64_t>& static_singles,
@@ -25,30 +45,18 @@ FlashReport unpacked_flash(const QModel& model,
   FlashReport r;
   r.code_bytes = t.custom_runtime_code + t.const_tables;
 
-  int ordinal = 0;
+  size_t ordinal = 0;
   for (const QLayer& layer : model.layers) {
     const OpDescriptor d = describe_layer(layer);
     if (d.skippable) {
-      // Conv or depthwise: per-channel programs, weights either burned
-      // into code (unpacked) or kept as data (packed fallback).
-      const int64_t weight_data = d.skippable_operand_count();
-      const int64_t bias_data = static_cast<int64_t>(d.channels) * 4;
-      const bool unpacked =
-          ordinal < static_cast<int>(static_pairs.size()) &&
-          static_pairs[static_cast<size_t>(ordinal)] >= 0;
-      if (unpacked) {
-        const int64_t pairs = static_pairs[static_cast<size_t>(ordinal)];
-        const int64_t singles = static_singles[static_cast<size_t>(ordinal)];
-        r.unpacked_code_bytes += t.unpacked_bytes_per_layer +
-                                 t.unpacked_bytes_per_channel * d.channels +
-                                 t.unpacked_bytes_per_pair * pairs +
-                                 t.unpacked_bytes_per_single * singles;
-        // Biases remain data (loaded by the per-channel prologue).
-        r.weight_bytes += bias_data;
-      } else {
-        r.weight_bytes += weight_data + bias_data;
-        r.code_bytes += t.per_layer_descriptor;
-      }
+      // Ordinals past the end of the vectors stay packed.
+      const bool listed = ordinal < static_pairs.size();
+      const FlashReport layer_flash = approx_layer_flash(
+          d, listed ? static_pairs[ordinal] : -1,
+          listed ? static_singles[ordinal] : 0, t);
+      r.code_bytes += layer_flash.code_bytes;
+      r.weight_bytes += layer_flash.weight_bytes;
+      r.unpacked_code_bytes += layer_flash.unpacked_code_bytes;
       ++ordinal;
     } else if (const auto* fc = std::get_if<QDense>(&layer)) {
       r.weight_bytes += static_cast<int64_t>(fc->weights.size()) +

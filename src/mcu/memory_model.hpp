@@ -61,6 +61,14 @@ struct FlashReport {
 // Packed (CMSIS-like) deployment: weights stored as data.
 FlashReport packed_flash(const QModel& model, const MemoryCostTable& t = {});
 
+// Flash of one approximable layer (`op` from describe_layer). With
+// `static_pairs` >= 0 it is unpacked: straight-line code sized by its
+// retained pairs/singles, biases kept as data. A negative `static_pairs`
+// keeps it packed: weights and biases as data plus a runtime descriptor.
+FlashReport approx_layer_flash(const OpDescriptor& op, int64_t static_pairs,
+                               int64_t static_singles,
+                               const MemoryCostTable& t = {});
+
 // Unpacked deployment: approximable layers (conv + depthwise) in
 // `static_pairs` / `static_singles` (indexed by approximable-layer
 // ordinal, -1 entries = layer kept packed) become straight-line code;

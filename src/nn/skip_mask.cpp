@@ -100,6 +100,35 @@ void zero_skipped_weights(QLayer& layer, const std::vector<uint8_t>& mask) {
   }
 }
 
+UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask) {
+  mask.validate(model);
+  UnpackStats stats;
+  int ordinal = 0;
+  for (const QLayer& layer : model.layers) {
+    const OpDescriptor d = describe_layer(layer);
+    if (!d.skippable) continue;
+    const uint8_t* m = mask.layer_skip(ordinal);
+    int64_t pairs = 0, singles = 0, retained_static = 0;
+    for (int ch = 0; ch < d.channels; ++ch) {
+      int retained = 0;
+      if (m == nullptr) {
+        retained = d.patch;
+      } else {
+        const uint8_t* row = m + static_cast<size_t>(ch) * d.patch;
+        for (int i = 0; i < d.patch; ++i) retained += row[i] ? 0 : 1;
+      }
+      pairs += retained / 2;
+      singles += retained % 2;
+      retained_static += retained;
+    }
+    stats.static_pairs.push_back(pairs);
+    stats.static_singles.push_back(singles);
+    stats.retained_conv_macs += retained_static * d.positions;
+    ++ordinal;
+  }
+  return stats;
+}
+
 QModel apply_skip_mask(const QModel& model, const SkipMask& mask) {
   mask.validate(model);
   QModel masked = model;

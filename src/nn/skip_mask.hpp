@@ -51,6 +51,17 @@ struct SkipMask {
   static SkipMask none(const QModel& model);
 };
 
+// Static (per-layer) unpacking statistics induced by a skip mask: the
+// retained operands of each channel, re-paired into SMLAD pairs and at
+// most one leftover single, as UnpackedConv/UnpackedDepthwise emit them.
+struct UnpackStats {
+  std::vector<int64_t> static_pairs;    // by approximable-layer ordinal
+  std::vector<int64_t> static_singles;  // by approximable-layer ordinal
+  int64_t retained_conv_macs = 0;       // dynamic, per inference
+};
+
+UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask);
+
 // A copy of `model` with every skipped conv/depthwise weight set to zero.
 // The quantized product (a - zp) * w vanishes for w == 0, so running the
 // masked copy through any exact engine is numerically identical to

@@ -39,34 +39,24 @@ HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
                                  const CortexM33CostTable& costs,
                                  const MemoryCostTable& memory) {
   const UnpackStats stats = compute_unpack_stats(model, mask);
+  // Rows of the all-packed and all-unpacked deployments, one per layer.
+  const std::vector<LayerProfile> packed =
+      deployment_profile(model, {}, {}, costs);
+  const std::vector<LayerProfile> unpacked = deployment_profile(
+      model, stats.static_pairs, stats.static_singles, costs);
   HybridPlan plan;
-  int ordinal = 0;
-  for (const QLayer& layer : model.layers) {
-    const OpDescriptor d = describe_layer(layer);
+  size_t ordinal = 0;
+  for (size_t l = 0; l < model.layers.size(); ++l) {
+    const OpDescriptor d = describe_layer(model.layers[l]);
     if (!d.skippable) continue;
-    const int64_t pairs = stats.static_pairs[static_cast<size_t>(ordinal)];
-    const int64_t singles =
-        stats.static_singles[static_cast<size_t>(ordinal)];
     LayerDeployChoice c;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      c.packed_cycles = static_cast<int64_t>(costs.layer_dispatch) +
-                        packed_conv_cycles(*conv, costs);
-      c.unpacked_cycles = unpacked_conv_cycles(*conv, pairs, singles, costs);
-    } else {
-      const auto& dw = std::get<QDepthwiseConv2D>(layer);
-      c.packed_cycles = static_cast<int64_t>(costs.layer_dispatch) +
-                        packed_depthwise_cycles(dw, costs);
-      c.unpacked_cycles =
-          unpacked_depthwise_cycles(dw, pairs, singles, costs);
-    }
-    c.packed_flash = d.skippable_operand_count() +
-                     static_cast<int64_t>(d.channels) * 4 +
-                     memory.per_layer_descriptor;
-    c.unpacked_flash = memory.unpacked_bytes_per_layer +
-                       memory.unpacked_bytes_per_channel * d.channels +
-                       memory.unpacked_bytes_per_pair * pairs +
-                       memory.unpacked_bytes_per_single * singles +
-                       static_cast<int64_t>(d.channels) * 4;
+    c.packed_cycles = packed[l].cycles;
+    c.unpacked_cycles = unpacked[l].cycles;
+    c.packed_flash = approx_layer_flash(d, -1, 0, memory).total_bytes;
+    c.unpacked_flash = approx_layer_flash(d, stats.static_pairs[ordinal],
+                                          stats.static_singles[ordinal],
+                                          memory)
+                           .total_bytes;
     c.unpack = false;  // selection decides
     plan.choices.push_back(c);
     ++ordinal;

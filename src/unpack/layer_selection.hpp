@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/dse/evaluator.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/skip_mask.hpp"
@@ -26,10 +25,12 @@ namespace ataman {
 
 struct LayerDeployChoice {
   bool unpack = true;
-  int64_t packed_cycles = 0;     // exact packed kernel (skips are free-of-
-                                 // charge impossible there)
-  int64_t unpacked_cycles = 0;   // with the mask's skips applied
-  int64_t packed_flash = 0;      // weights + descriptor bytes
+  // This layer's deployment_profile row, packed (exact: skips cannot
+  // remove work from a loop kernel) and unpacked with the mask's skips.
+  int64_t packed_cycles = 0;
+  int64_t unpacked_cycles = 0;
+  // approx_layer_flash of the two forms.
+  int64_t packed_flash = 0;      // weights + bias data + descriptor bytes
   int64_t unpacked_flash = 0;    // straight-line code bytes + bias data
 };
 

@@ -1,5 +1,6 @@
 #include "src/unpack/unpacked_engine.hpp"
 
+#include <algorithm>
 #include <functional>
 
 #include "src/common/error.hpp"
@@ -11,7 +12,6 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
                                MemoryCostTable memory,
                                const std::vector<uint8_t>* unpack_selection)
     : InferenceEngine(model, "ataman"),
-      costs_(costs),
       memory_(memory),
       exec_(*model),
       packed_fc_(model->layers.size()) {
@@ -23,99 +23,52 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
   }
 
   int ordinal = 0;
-  int out_dim = 0;
-  double cycles = 0.0;
   for (size_t l = 0; l < packed_fc_.size(); ++l) {
     const QLayer& layer = this->model().layers[l];
+    if (const auto* fc = std::get_if<QDense>(&layer)) {
+      packed_fc_[l] = PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim);
+      continue;
+    }
     const auto* conv = std::get_if<QConv2D>(&layer);
     const auto* dw = std::get_if<QDepthwiseConv2D>(&layer);
-    if (conv != nullptr || dw != nullptr) {
-      const bool unpack =
-          unpack_selection == nullptr ||
-          (*unpack_selection)[static_cast<size_t>(ordinal)] != 0;
-      ApproxExec exec;
-      exec.is_unpacked = unpack;
-      const uint8_t* skip =
-          mask != nullptr ? mask->layer_skip(ordinal) : nullptr;
-      if (unpack && conv != nullptr) {
-        UnpackedConv u = UnpackedConv::build(*conv, skip);
-        const int64_t c = unpacked_conv_cycles(*conv, u.static_pairs(),
-                                               u.static_singles(), costs_);
-        profile_.push_back({"conv(unpacked)", c, u.retained_macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += u.retained_macs();
-        exec.unpacked = std::move(u);
-      } else if (unpack && dw != nullptr) {
-        UnpackedDepthwise u = UnpackedDepthwise::build(*dw, skip);
-        const int64_t c = unpacked_depthwise_cycles(
-            *dw, u.static_pairs(), u.static_singles(), costs_);
-        profile_.push_back({"depthwise(unpacked)", c, u.retained_macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += u.retained_macs();
-        exec.unpacked_dw = std::move(u);
-      } else if (conv != nullptr) {
-        // Packed layers execute exactly: static skips cannot remove work
-        // from loop kernels (the paper's argument for unpacking).
-        exec.packed = PackedWeights::pack(conv->weights, conv->geom.out_c,
-                                          conv->geom.patch_size());
-        const int64_t c = packed_conv_cycles(*conv, costs_);
-        cycles += costs_.layer_dispatch;
-        profile_.push_back({"conv(packed)",
-                            c + static_cast<int64_t>(costs_.layer_dispatch),
-                            conv->geom.macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += conv->geom.macs();
-      } else {
-        // Packed depthwise fallback: the loop kernel needs no prepacked
-        // stream (see packed_depthwise_conv2d).
-        const int64_t c = packed_depthwise_cycles(*dw, costs_);
-        cycles += costs_.layer_dispatch;
-        profile_.push_back({"depthwise(packed)",
-                            c + static_cast<int64_t>(costs_.layer_dispatch),
-                            dw->macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += dw->macs();
-      }
-      convs_.push_back(std::move(exec));
-      ++ordinal;
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      cycles += costs_.layer_dispatch;
-      const int64_t c = pool_cycles(*pool, costs_);
-      profile_.push_back({"pool", c, 0});
-      cycles += static_cast<double>(c);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      cycles += costs_.layer_dispatch;
-      const int64_t c = avgpool_cycles(*pool, costs_);
-      profile_.push_back({"avgpool", c, 0});
-      cycles += static_cast<double>(c);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      cycles += costs_.layer_dispatch;
-      packed_fc_[l] = PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim);
-      const int64_t c = dense_cycles(*fc, costs_);
-      profile_.push_back({"fc", c, fc->macs()});
-      cycles += static_cast<double>(c);
-      executed_macs_ += fc->macs();
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      // Residual adds run the same requantize-and-add stream on every
-      // engine: nothing to unpack, never approximated.
-      cycles += costs_.layer_dispatch;
-      const int64_t c = qadd_cycles(*add, costs_);
-      profile_.push_back({"add", c, 0});
-      cycles += static_cast<double>(c);
+    if (conv == nullptr && dw == nullptr) continue;
+    const bool unpack =
+        unpack_selection == nullptr ||
+        (*unpack_selection)[static_cast<size_t>(ordinal)] != 0;
+    const uint8_t* skip =
+        mask != nullptr ? mask->layer_skip(ordinal) : nullptr;
+    ApproxExec exec;
+    int64_t pairs = -1, singles = 0;  // -1: layer stays packed
+    if (unpack && conv != nullptr) {
+      exec.unpacked = UnpackedConv::build(*conv, skip);
+      pairs = exec.unpacked->static_pairs();
+      singles = exec.unpacked->static_singles();
+    } else if (unpack) {
+      exec.unpacked_dw = UnpackedDepthwise::build(*dw, skip);
+      pairs = exec.unpacked_dw->static_pairs();
+      singles = exec.unpacked_dw->static_singles();
+    } else if (conv != nullptr) {
+      // Packed layers execute exactly: static skips cannot remove work
+      // from loop kernels (the paper's argument for unpacking). The
+      // packed depthwise loop kernel needs no prepacked stream.
+      exec.packed = PackedWeights::pack(conv->weights, conv->geom.out_c,
+                                        conv->geom.patch_size());
     }
+    convs_.push_back(std::move(exec));
+    static_pairs_.push_back(pairs);
+    static_singles_.push_back(singles);
+    ++ordinal;
   }
-  cycles += costs_.softmax_per_logit * out_dim;
-  profile_.push_back(
-      {"softmax", static_cast<int64_t>(costs_.softmax_per_logit * out_dim),
-       0});
-  total_cycles_ = static_cast<int64_t>(cycles);
+  profile_ = deployment_profile(this->model(), static_pairs_, static_singles_,
+                                costs);
+  total_cycles_ = sum_profile_cycles(profile_);
+  for (const LayerProfile& row : profile_) executed_macs_ += row.macs;
 }
 
 int UnpackedEngine::unpacked_conv_count() const {
-  int n = 0;
-  for (const ApproxExec& e : convs_) n += e.is_unpacked ? 1 : 0;
-  return n;
+  return static_cast<int>(std::count_if(static_pairs_.begin(),
+                                        static_pairs_.end(),
+                                        [](int64_t p) { return p >= 0; }));
 }
 
 void UnpackedEngine::run_kernel(int l, int ordinal,
@@ -152,21 +105,7 @@ void UnpackedEngine::run_batch(
 }
 
 FlashReport UnpackedEngine::flash(const MemoryCostTable& t) const {
-  std::vector<int64_t> pairs, singles;
-  pairs.reserve(convs_.size());
-  for (const ApproxExec& e : convs_) {
-    if (e.is_unpacked) {
-      const bool is_dw = e.unpacked_dw.has_value();
-      pairs.push_back(is_dw ? e.unpacked_dw->static_pairs()
-                            : e.unpacked->static_pairs());
-      singles.push_back(is_dw ? e.unpacked_dw->static_singles()
-                              : e.unpacked->static_singles());
-    } else {
-      pairs.push_back(-1);  // memory_model: layer stays packed
-      singles.push_back(0);
-    }
-  }
-  return unpacked_flash(model(), pairs, singles, t);
+  return unpacked_flash(model(), static_pairs_, static_singles_, t);
 }
 
 int64_t UnpackedEngine::ram_bytes() const {

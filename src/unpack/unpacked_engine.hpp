@@ -80,7 +80,6 @@ class UnpackedEngine : public InferenceEngine {
   // fallback (PackedWeights stream for conv; the depthwise loop kernel
   // needs no prepacked state).
   struct ApproxExec {
-    bool is_unpacked = true;
     std::optional<UnpackedConv> unpacked;
     std::optional<UnpackedDepthwise> unpacked_dw;
     std::optional<PackedWeights> packed;
@@ -91,10 +90,13 @@ class UnpackedEngine : public InferenceEngine {
   void run_kernel(int layer, int ordinal, std::span<const int8_t> in,
                   std::span<int8_t> out, int batch) const;
 
-  CortexM33CostTable costs_;
   MemoryCostTable memory_;
   PlanExecutor exec_;
   std::vector<ApproxExec> convs_;          // by approximable ordinal
+  // Retained pairs / singles of each ordinal's unpacked program, -1 / 0
+  // for a packed one: what deployment_profile and unpacked_flash price.
+  std::vector<int64_t> static_pairs_;
+  std::vector<int64_t> static_singles_;
   std::vector<PackedWeights> packed_fc_;   // by layer; fc only
   std::vector<LayerProfile> profile_;
   int64_t total_cycles_ = 0;

@@ -69,7 +69,7 @@ ChannelProgram build_channel_program(int32_t bias, int patch,
 // weight constant is fetched once and multiplied into one accumulator
 // per lane. The host interpreter materializes the zero-point-corrected
 // patch purely as a host-speed optimization; the *priced* instruction
-// stream (cost_model::unpacked_conv_cycles) models direct activation
+// stream (cost_model::unpacked_op_cycles) models direct activation
 // loads with no such buffer, and the numerics are identical.
 template <int L>
 void unpacked_conv_block(const UnpackedConv& u, std::span<const int8_t> in,

@@ -109,7 +109,7 @@ TEST(Hybrid, EngineProfilesReflectSelection) {
   EXPECT_EQ(engine.unpacked_conv_count(), 1);
   int packed_convs = 0, unpacked_convs = 0;
   for (const LayerProfile& p : engine.layer_profile()) {
-    if (p.kind == "conv(packed)") ++packed_convs;
+    if (p.kind == "conv") ++packed_convs;
     if (p.kind == "conv(unpacked)") ++unpacked_convs;
   }
   EXPECT_EQ(packed_convs, 1);

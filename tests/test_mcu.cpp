@@ -73,7 +73,9 @@ TEST(CostModel, UnpackedSitsBetweenFastAndBasic) {
   const int64_t singles = g.weight_count() % 2;
 
   const int64_t fast = packed_conv_cycles(conv);
-  const int64_t unpacked = unpacked_conv_cycles(conv, pairs, singles);
+  const OpDescriptor op = describe_layer(conv);
+  const int64_t unpacked =
+      unpacked_op_cycles(op, pairs, singles, op.positions);
   QConv2D basic_conv = conv;
   basic_conv.geom.in_c = 3;  // force basic path, similar mac count scale
   // Compare per-MAC rates instead of absolute cycles.
@@ -133,8 +135,10 @@ TEST(CostModel, DepthwiseConstantsPinnedToKernelMicroCalibration) {
   const int64_t pairs_per_chan = taps / 2;
   const int64_t singles_per_chan = taps % 2;
   const int64_t packed = packed_depthwise_cycles(dw);
-  const int64_t unpacked = unpacked_depthwise_cycles(
-      dw, pairs_per_chan * dw.channels, singles_per_chan * dw.channels);
+  const OpDescriptor op = describe_layer(dw);
+  const int64_t unpacked =
+      unpacked_op_cycles(op, pairs_per_chan * dw.channels,
+                         singles_per_chan * dw.channels, op.positions);
   EXPECT_GT(packed, unpacked);
   EXPECT_GT(static_cast<double>(packed), 1.3 * static_cast<double>(unpacked));
   EXPECT_LT(static_cast<double>(packed), 2.0 * static_cast<double>(unpacked));

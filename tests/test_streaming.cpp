@@ -515,18 +515,15 @@ TEST(StreamingCost, AttachStreamingRowFillsTheDeployReport) {
 
 TEST(StreamingCost, UnpackedStreamCyclesScalePositionTermsOnly) {
   const QModel m = make_tiny_qmodel(83);
-  const auto& conv = std::get<QConv2D>(m.layers[0]);
-  const int64_t positions = describe_layer(m.layers[0]).positions;
+  const OpDescriptor op = describe_layer(m.layers[0]);
+  const int64_t positions = op.positions;
   const int64_t pairs = 40, singles = 3;
-  // All positions recomputed == the non-streaming unpacked kernel.
-  EXPECT_EQ(unpacked_conv_stream_cycles(conv, pairs, singles, positions),
-            unpacked_conv_cycles(conv, pairs, singles));
+  const int64_t full = unpacked_op_cycles(op, pairs, singles, positions);
   // Zero recomputed positions still pays the per-layer setup.
-  const int64_t setup_only = unpacked_conv_stream_cycles(conv, pairs, singles, 0);
+  const int64_t setup_only = unpacked_op_cycles(op, pairs, singles, 0);
   EXPECT_GT(setup_only, 0);
-  EXPECT_LT(setup_only, unpacked_conv_cycles(conv, pairs, singles));
-  EXPECT_THROW(
-      unpacked_conv_stream_cycles(conv, pairs, singles, positions + 1), Error);
+  EXPECT_LT(setup_only, full);
+  EXPECT_THROW(unpacked_op_cycles(op, pairs, singles, positions + 1), Error);
 }
 
 TEST(StreamingDse, EvaluatorRowAndSelectorConstraint) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "src/cmsisnn/smlad.hpp"
+#include "src/common/rng.hpp"
+#include "src/dse/evaluator.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
+#include "src/sig/act_stats.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 #include "src/unpack/unpacked_layer.hpp"
 #include "tests/test_util.hpp"
@@ -180,12 +183,55 @@ TEST(CostModel, UnpackedCyclesMonotoneInRetainedOps) {
   g.in_h = 8; g.in_w = 8; g.in_c = 4;
   g.out_c = 4; g.kernel = 3; g.stride = 1; g.pad = 1;
   const QConv2D conv = make_random_qconv(g, 19);
-  const int64_t full = unpacked_conv_cycles(conv, 72, 0);
-  const int64_t half = unpacked_conv_cycles(conv, 36, 0);
-  const int64_t none = unpacked_conv_cycles(conv, 0, 0);
+  const OpDescriptor op = describe_layer(conv);
+  const int64_t full = unpacked_op_cycles(op, 72, 0, op.positions);
+  const int64_t half = unpacked_op_cycles(op, 36, 0, op.positions);
+  const int64_t none = unpacked_op_cycles(op, 0, 0, op.positions);
   EXPECT_GT(full, half);
   EXPECT_GT(half, none);
   EXPECT_GT(none, 0);  // epilogues remain
+}
+
+TEST(UnpackedEngine, CycleProfileCoversAllLayers) {
+  const QModel m = make_tiny_qmodel(10);
+  Dataset eval(ImageShape{m.in_h, m.in_w, m.in_c}, 10);
+  Rng rng(11);
+  for (int i = 0; i < 16; ++i) {
+    std::vector<uint8_t> img(static_cast<size_t>(m.in_h) * m.in_w * m.in_c);
+    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+    eval.add(img, rng.next_int(0, 9));
+  }
+  const auto sig =
+      compute_model_significance(m, capture_activation_stats(m, eval, 16));
+  const ApproxConfig config = ApproxConfig::uniform(2, 0.05);
+  const SkipMask mask = make_skip_mask(m, sig, config);
+  ASSERT_GT(mask.skipped_static_operands(), 0);
+
+  // Fractional dispatch and softmax constants: rows and totals must
+  // still agree exactly.
+  CortexM33CostTable fractional;
+  fractional.layer_dispatch = 400.5;
+  fractional.softmax_per_logit = 30.3;
+  const std::vector<uint8_t> hybrid = {0, 1};
+  for (const CortexM33CostTable& costs : {CortexM33CostTable{}, fractional}) {
+    for (const SkipMask* skip : {static_cast<const SkipMask*>(nullptr),
+                                 &mask}) {
+      for (const std::vector<uint8_t>* selection :
+           {static_cast<const std::vector<uint8_t>*>(nullptr), &hybrid}) {
+        const UnpackedEngine engine(&m, skip, costs, {}, selection);
+        EXPECT_EQ(engine.layer_profile().size(), m.layers.size() + 1);
+        EXPECT_EQ(sum_profile_cycles(engine.layer_profile()),
+                  engine.total_cycles())
+            << "masked " << (skip != nullptr) << " hybrid "
+            << (selection != nullptr) << " dispatch " << costs.layer_dispatch;
+      }
+    }
+    // The all-unpacked masked deployment is what the DSE prices.
+    const ConfigEvaluator evaluator(&m, &sig, &eval, -1, costs);
+    EXPECT_EQ(UnpackedEngine(&m, &mask, costs).total_cycles(),
+              evaluator.evaluate_static(config).cycles)
+        << "dispatch " << costs.layer_dispatch;
+  }
 }
 
 }  // namespace
